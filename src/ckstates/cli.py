@@ -401,6 +401,10 @@ def main(argv=None) -> int:
     except (NotUnderdampedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        # e.g. OverflowError from e^{gamma t} far outside the period.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream reader (e.g. head) closed the pipe; park stdout on
         # devnull so the interpreter's final flush stays quiet.

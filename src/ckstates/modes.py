@@ -80,6 +80,9 @@ class PhysicalParams:
     omega: float
 
     def __post_init__(self) -> None:
+        for name in ("m0", "gamma", "omega0", "hbar", "omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.m0 <= 0.0:
             raise ValueError(f"m0 must be positive, got {self.m0}")
         if self.omega0 <= 0.0:
@@ -113,8 +116,10 @@ class SqueezeParams:
     phi: float
 
     def __post_init__(self) -> None:
-        if self.r < 0.0:
-            raise ValueError(f"squeeze magnitude must be nonnegative, got {self.r}")
+        if not (math.isfinite(self.r) and self.r >= 0.0):
+            raise ValueError(
+                f"squeeze magnitude must be finite and nonnegative, got {self.r}"
+            )
         if not math.isfinite(self.phi):
             raise ValueError(f"squeeze phase must be finite, got {self.phi}")
         object.__setattr__(self, "phi", self.phi % TWO_PI)

@@ -4,8 +4,12 @@ Nothing in this module trusts the closed-form moments: position moments
 come from composite Simpson quadrature of sampled wave functions,
 momentum moments from 4th-order finite differences, time derivatives from
 a Richardson-extrapolated stencil, and time evolution from a
-Crank-Nicolson propagator.  Agreement between these routes and the
-closed-form layer is what :func:`validate` certifies.
+Crank-Nicolson propagator with the compact 4th-order (Numerov) Laplacian,
+run in the coordinate Q = e^{gamma t/2} q that maps the Caldirola-Kanai
+equation exactly onto an undamped oscillator, on a grid sized from the
+packet's narrowest spread in that frame.
+Agreement between these routes and the closed-form layer is what
+:func:`validate` certifies.
 
 Finite differences rather than spectral transforms keep the oracle free
 of transform conventions; the 4th-order stencils are sufficient for every
@@ -19,7 +23,6 @@ import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.linalg import solve_banded
 
 from .modes import (
@@ -62,6 +65,7 @@ __all__ = [
     "apply_creation",
     "schrodinger_residual",
     "crank_nicolson_evolve",
+    "cn_cross_check",
     "default_schedule",
     "validate",
 ]
@@ -73,6 +77,16 @@ MIN_GRID_POINTS = 513
 # Probability mass allowed within 5 points of either boundary during
 # Crank-Nicolson stepping before the run is declared leaky.
 BOUNDARY_LEAK_TOL = 1e-8
+
+# Crank-Nicolson cross-check grid, in the frame coordinate Q = e^{gamma t/2} q
+# of cn_cross_check: the box spans 24 of the widest frame spreads over one
+# period, with this many points per narrowest spread, capped at
+# CN_MAX_POINTS.  The frame spreads range over at most a factor e^{2r},
+# whatever the damping, so r = 0.5 gets 2049 points (31 per narrowest
+# spread) at every gamma, and the fidelity deficit at 4000 steps per period
+# is near 2e-11, far under the 1e-6 tolerance.
+CN_POINTS_PER_SPREAD = 16
+CN_MAX_POINTS = 32769
 
 
 class BoundaryLeakError(RuntimeError):
@@ -154,6 +168,22 @@ def make_grid(
     return GridSpec(
         q_min=center - half, q_max=center + half, n_points=_clamp_points(n_points)
     )
+
+
+def simpson(y: np.ndarray, dx: float):
+    """Composite Simpson rule along the last axis of evenly spaced samples.
+
+    Needs an odd sample count, as every :class:`GridSpec` has.  The sum
+    runs in the same order as ``scipy.integrate.simpson`` for such input,
+    so the two agree bit for bit.
+    """
+    y = np.asarray(y)
+    n = y.shape[-1]
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"need an odd sample count >= 3, got {n}")
+    result = np.sum(y[..., 0:-2:2] + 4.0 * y[..., 1:-1:2] + y[..., 2::2], axis=-1)
+    result *= dx / 3.0
+    return result
 
 
 def _ddx(f: np.ndarray, dx: float) -> np.ndarray:
@@ -349,10 +379,16 @@ def crank_nicolson_evolve(
 ) -> np.ndarray:
     """Propagate samples from t0 to t1 with unitary Crank-Nicolson steps.
 
-    The tridiagonal Hamiltonian (3-point Laplacian, Dirichlet-zero
-    boundaries) is evaluated at the mid-step time t + dt/2, which keeps
-    the scheme 2nd-order for the exponential mass law.  Requires at least
-    1000 steps per period pi/omega.
+    The Laplacian is the compact 4th-order (Numerov) form M^{-1} D / dq^2
+    with D = tridiag(1, -2, 1) and M = tridiag(1, 10, 1)/12, under
+    Dirichlet-zero boundaries.  Multiplying both Crank-Nicolson sides by
+    M keeps them tridiagonal: L = M + (i dt/2)(-kin D/dq^2 + e^{gamma t} M V)
+    on the left and its complex conjugate on the right, since M, D and V
+    are real.  M and D commute, so the discrete Hamiltonian is real
+    symmetric and each step is exactly unitary.  It is evaluated at the
+    mid-step time t + dt/2, which keeps the scheme 2nd-order in time for
+    the exponential mass law.  Requires at least 1000 steps per period
+    pi/omega.
 
     Raises
     ------
@@ -373,21 +409,34 @@ def crank_nicolson_evolve(
     if psi.shape != q.shape:
         raise ValueError(f"samples shape {psi.shape} does not match grid {q.shape}")
     dt = (t1 - t0) / n_steps
-    idq2 = 1.0 / grid.dq**2
-    pot_profile = 0.5 * params.m0 * params.omega0**2 * q * q / params.hbar
-    ab = np.zeros((3, q.size), dtype=complex)
+    half = 0.5 * dt
+    # V/12 with V = m0 omega0^2 q^2 / (2 hbar), the potential profile of H/hbar.
+    pot12 = (params.m0 * params.omega0**2 / (24.0 * params.hbar)) * q * q
+    # Bands of L in solve_banded layout: rows 0 and 2 hold the off-diagonal
+    # entries of column j, both 1/12 + i (dt/2)(e^{gamma t} V_j/12 - kin/dq^2);
+    # row 1 holds the diagonal.  Only the imaginary parts change per step.
+    ab = np.empty((3, q.size), dtype=complex)
+    ab.real[0] = ab.real[2] = 1.0 / 12.0
+    ab.real[1] = 10.0 / 12.0
+    off, diag = ab.imag[0], ab.imag[1]
+    rhs = np.empty_like(psi)
+    side = np.empty_like(psi)
     for k in range(n_steps):
         tm = t0 + (k + 0.5) * dt
-        kin = params.hbar * math.exp(-params.gamma * tm) / (2.0 * params.m0)
-        diag = 2.0 * kin * idq2 + math.exp(params.gamma * tm) * pot_profile
-        off = -kin * idq2
-        half = 0.5j * dt
-        rhs = (1.0 - half * diag) * psi
-        rhs[1:] -= half * off * psi[:-1]
-        rhs[:-1] -= half * off * psi[1:]
-        ab[0, 1:] = half * off
-        ab[1, :] = 1.0 + half * diag
-        ab[2, :-1] = half * off
+        # (dt/2) kin/dq^2 with the kinetic prefactor kin = hbar e^{-gamma t}/(2 m0)
+        kin = half * params.hbar * math.exp(-params.gamma * tm) / (
+            2.0 * params.m0 * grid.dq**2
+        )
+        np.multiply(pot12, half * math.exp(params.gamma * tm), out=off)
+        off -= kin
+        np.multiply(off, 10.0, out=diag)
+        diag += 12.0 * kin
+        ab.imag[2] = off
+        # rhs = conj(L) psi
+        np.multiply(ab[1].conjugate(), psi, out=rhs)
+        np.multiply(ab[0].conjugate(), psi, out=side)
+        rhs[:-1] += side[1:]
+        rhs[1:] += side[:-1]
         psi = solve_banded((1, 1), ab, rhs)
         edge_mass = (
             float(np.sum(np.abs(psi[:5]) ** 2) + np.sum(np.abs(psi[-5:]) ** 2))
@@ -399,6 +448,96 @@ def crank_nicolson_evolve(
                 f"boundary at t={t0 + (k + 1) * dt:.6f}; enlarge the grid"
             )
     return psi
+
+
+def _cn_grid(params: PhysicalParams, squeeze: SqueezeParams) -> GridSpec:
+    """Grid of :func:`cn_cross_check` in the frame coordinate
+    Q = e^{gamma t/2} q, from the frame spreads e^{gamma t/2} sqrt(hbar)|u(t)|
+    at 257 instants of one period (see ``CN_POINTS_PER_SPREAD``)."""
+    period = math.pi / params.omega
+    spreads = [
+        math.exp(0.5 * params.gamma * tt)
+        * math.sqrt(params.hbar)
+        * abs(mode_u_rphi(params, squeeze, tt).u)
+        for tt in np.linspace(0.0, period, 257)
+    ]
+    widest = max(spreads)
+    n_points = min(
+        CN_MAX_POINTS,
+        _clamp_points(math.ceil(24 * CN_POINTS_PER_SPREAD * widest / min(spreads))),
+    )
+    return GridSpec(q_min=-12.0 * widest, q_max=12.0 * widest, n_points=n_points)
+
+
+def _frame_params(params: PhysicalParams) -> PhysicalParams:
+    """The undamped oscillator of frequency omega that the frame of
+    :func:`cn_cross_check` evolves."""
+    return make_params(params.m0, 0.0, params.omega, params.hbar)
+
+
+def _in_frame(
+    params: PhysicalParams,
+    spec: StateSpec,
+    t: float,
+    Q: np.ndarray,
+    flip_b_sign: bool = False,
+) -> np.ndarray:
+    """Closed-form samples of phi(Q, t) = e^{-gamma t/4} e^{i beta Q^2}
+    psi(e^{-gamma t/2} Q, t), beta = m0 gamma/(4 hbar)."""
+    scale = math.exp(-0.5 * params.gamma * t)
+    beta = params.m0 * params.gamma / (4.0 * params.hbar)
+    psi = eval_number_state(params, spec, t, scale * Q, flip_b_sign=flip_b_sign)
+    return math.sqrt(scale) * np.exp(1j * beta * Q * Q) * psi
+
+
+def cn_cross_check(
+    params: PhysicalParams,
+    squeeze: SqueezeParams,
+    n_steps: int,
+    *,
+    flip_b_sign: bool = False,
+) -> tuple[float, float, GridSpec]:
+    """Propagate the squeezed ground state over one period pi/omega with
+    :func:`crank_nicolson_evolve` and compare with the closed form.
+
+    The propagation runs in the frame Q = e^{gamma t/2} q, where
+    psi(q, t) = e^{gamma t/4} e^{-i beta Q^2} phi(Q, t), beta = m0 gamma/(4 hbar),
+    maps the Caldirola-Kanai equation exactly onto the undamped oscillator
+    i hbar phi_t = -hbar^2/(2 m0) phi_QQ + m0 omega^2 Q^2/2 phi: the chirp
+    cancels the term i hbar (gamma/2) Q phi_Q that the dilation brings and
+    the constant i hbar gamma/4 from the prefactor, and shifts the
+    frequency from omega0 to omega.  The closed-form states
+    at both ends are mapped into the frame pointwise, which is unitary, so
+    the overlap and the norms are those of the q frame.  In the frame the
+    packet's width varies by at most e^{2r} instead of narrowing by about
+    e^{pi gamma/(2 omega)}, so the grid does not depend on the damping.
+
+    The box spans 24 of the widest frame spreads over the period, with
+    ``CN_POINTS_PER_SPREAD`` points per narrowest spread, at most
+    ``CN_MAX_POINTS``.
+
+    Returns
+    -------
+    (deficit, drift, grid)
+        The fidelity deficit |1 - |<psi_closed|psi_CN>|^2|, the norm drift
+        of the propagated samples, and the grid used, in Q.
+    """
+    spec = StateSpec.number(0, squeeze)
+    period = math.pi / params.omega
+    grid = _cn_grid(params, squeeze)
+    Q = grid.points()
+    phi0 = _in_frame(params, spec, 0.0, Q, flip_b_sign)
+    evolved = crank_nicolson_evolve(
+        _frame_params(params), phi0, grid, 0.0, period, n_steps
+    )
+    ref = _in_frame(params, spec, period, Q, flip_b_sign)
+    overlap = complex(simpson(ref.conjugate() * evolved, dx=grid.dq))
+    deficit = abs(1.0 - abs(overlap) ** 2)
+    drift = abs(
+        float(simpson(np.abs(evolved) ** 2, dx=grid.dq))
+        - float(simpson(np.abs(phi0) ** 2, dx=grid.dq))
+    )
+    return deficit, drift, grid
 
 
 @dataclass(frozen=True)
@@ -680,25 +819,8 @@ def _run_ladder_bogoliubov(params, check, tol, flip):
 
 def _run_cn(params, check, tol, flip):
     r, phi, n_steps = check.args
-    squeeze = SqueezeParams(r=r, phi=phi)
-    spec = StateSpec.number(0, squeeze)
-    period = math.pi / params.omega
-    # Size the box to 12 position spreads at the widest instant.
-    widest = max(
-        math.sqrt(params.hbar) * abs(mode_u_rphi(params, squeeze, tt).u)
-        for tt in np.linspace(0.0, period, 257)
-    )
-    half = 12.0 * widest
-    grid = GridSpec(q_min=-half, q_max=half, n_points=32769)
-    q = grid.points()
-    psi0 = eval_number_state(params, spec, 0.0, q, flip_b_sign=flip)
-    evolved = crank_nicolson_evolve(params, psi0, grid, 0.0, period, int(n_steps))
-    ref = eval_number_state(params, spec, period, q, flip_b_sign=flip)
-    overlap = complex(simpson(ref.conjugate() * evolved, dx=grid.dq))
-    deficit = abs(1.0 - abs(overlap) ** 2)
-    drift = abs(
-        float(simpson(np.abs(evolved) ** 2, dx=grid.dq))
-        - float(simpson(np.abs(psi0) ** 2, dx=grid.dq))
+    deficit, drift, _ = cn_cross_check(
+        params, SqueezeParams(r=r, phi=phi), int(n_steps), flip_b_sign=flip
     )
     return [
         ReportEntry(

@@ -273,6 +273,26 @@ def test_bad_nt_exits_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--r", "nan"), ("--gamma", "nan"), ("--m0", "inf"), ("--omega0", "inf")],
+)
+def test_non_finite_parameter_exits_2(flag, value, capsys):
+    rc, out, err = run_cli(["uncertainty", flag, value, "--nt", "2"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_arithmetic_overflow_exits_2(capsys):
+    # e^{gamma t} overflows a double at gamma = 1.2, t = 600.
+    rc, out, err = run_cli(["uncertainty", "--t0", "600", "--nt", "2"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "OverflowError" in err
+
+
 def test_unknown_flag_exits_2(capsys):
     rc, _, _ = run_cli(["uncertainty", "--frequency", "3"], capsys)
     assert rc == 2

@@ -42,6 +42,21 @@ def test_make_params_rejects_bad_constants(m0, gamma, omega0, hbar):
         make_params(m0, gamma, omega0, hbar)
 
 
+@pytest.mark.parametrize(
+    "m0, gamma, omega0, hbar",
+    [
+        (math.nan, 0.1, 1.0, 1.0),
+        (math.inf, 0.1, 1.0, 1.0),
+        (1.0, math.nan, 1.0, 1.0),
+        (1.0, 0.1, math.inf, 1.0),
+        (1.0, 0.1, 1.0, math.nan),
+    ],
+)
+def test_make_params_rejects_non_finite_constants(m0, gamma, omega0, hbar):
+    with pytest.raises(ValueError, match="finite"):
+        make_params(m0, gamma, omega0, hbar)
+
+
 def test_make_params_rejects_overdamped():
     with pytest.raises(NotUnderdampedError):
         make_params(1.0, 2.0, 1.0, 1.0)
@@ -61,6 +76,9 @@ def test_squeeze_params_wrap_and_validate():
         SqueezeParams(r=-0.1, phi=0.0)
     with pytest.raises(ValueError):
         SqueezeParams(r=0.1, phi=math.inf)
+    for r in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SqueezeParams(r=r, phi=0.0)
 
 
 @given(r=radii, phi=phases)

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,19 +14,25 @@ from ckstates.modes import SqueezeParams, make_params
 from ckstates.states import StateSpec, eval_coherent_state, eval_number_state, gauss_coeffs
 from ckstates.oracle import (
     BoundaryLeakError,
+    CN_MAX_POINTS,
     Check,
     GridSpec,
     REPORT_VERSION,
     ToleranceConfig,
     apply_annihilation,
     apply_creation,
+    cn_cross_check,
     crank_nicolson_evolve,
     make_grid,
     moments,
     schrodinger_residual,
     validate,
     _apply_hamiltonian,
+    _cn_grid,
+    _frame_params,
+    _in_frame,
     _l2,
+    simpson as oracle_simpson,
 )
 
 P_STAR = make_params(1.0, 1.2, 1.0, 1.0)
@@ -82,6 +91,39 @@ def test_make_grid_coherent_center_and_reach():
 def test_make_grid_clamps_point_count():
     assert make_grid(P_STAR, GROUND, 0.0, n_points=600).n_points == 1025
     assert make_grid(P_STAR, GROUND, 0.0, n_points=10).n_points == 513
+
+
+# ---------------------------------------------------------------- quadrature
+
+
+@pytest.mark.parametrize("n_points", [513, 4097, 65537])
+def test_simpson_matches_scipy_bit_for_bit(n_points):
+    rng = np.random.default_rng(n_points)
+    real = rng.standard_normal(n_points)
+    cplx = real + 1j * rng.standard_normal(n_points)
+    for y in (real, cplx):
+        ours = oracle_simpson(y, dx=0.0123)
+        theirs = simpson(y, dx=0.0123)
+        assert ours.tobytes() == np.asarray(theirs).tobytes()
+
+
+def test_simpson_rejects_even_sample_count():
+    with pytest.raises(ValueError):
+        oracle_simpson(np.ones(1024), dx=0.1)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    import ckstates
+
+    src = os.path.dirname(os.path.dirname(ckstates.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = "import sys, ckstates; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------- moments
@@ -259,27 +301,73 @@ def test_cn_round_trip_fidelity():
 def test_cn_second_order_in_time():
     # Fidelity deficit is the squared orthogonal error, so halving dt
     # shrinks it by at least 4x once above the spatial floor (observed
-    # ratio near 13 at this resolution).
+    # ratio 16.0 on the sized 2049-point grid).
+    squeeze = SqueezeParams(0.5, 1.0)
+    deficits = [cn_cross_check(P_STAR, squeeze, n_steps)[0] for n_steps in (1000, 2000)]
+    assert deficits[0] / deficits[1] > 3.5
+    assert deficits[1] < 1e-7
+
+
+def test_cn_fourth_order_in_space():
+    # The Numerov Laplacian has a 4th-order error, so the deficit (its
+    # square) shrinks by about 256x when dq halves; a 3-point Laplacian
+    # gives about 16x.  8000 steps put the time error well below both.
     squeeze = SqueezeParams(0.5, 1.0)
     spec = StateSpec.number(0, squeeze)
     period = math.pi / P_STAR.omega
-    from ckstates.modes import mode_u_rphi
-
-    widest = max(
-        math.sqrt(P_STAR.hbar) * abs(mode_u_rphi(P_STAR, squeeze, tt).u)
-        for tt in np.linspace(0.0, period, 257)
-    )
-    grid = GridSpec(-12.0 * widest, 12.0 * widest, 32769)
-    q = grid.points()
-    psi0 = eval_number_state(P_STAR, spec, 0.0, q)
-    ref = eval_number_state(P_STAR, spec, period, q)
+    box = _cn_grid(P_STAR, squeeze)
     deficits = []
-    for n_steps in (1000, 2000):
-        evolved = crank_nicolson_evolve(P_STAR, psi0, grid, 0.0, period, n_steps)
+    for n_points in (1025, 2049):
+        grid = GridSpec(box.q_min, box.q_max, n_points)
+        q = grid.points()
+        psi0 = eval_number_state(P_STAR, spec, 0.0, q)
+        evolved = crank_nicolson_evolve(P_STAR, psi0, grid, 0.0, period, 8000)
+        ref = eval_number_state(P_STAR, spec, period, q)
         overlap = complex(simpson(ref.conjugate() * evolved, dx=grid.dq))
         deficits.append(abs(1.0 - abs(overlap) ** 2))
-    assert deficits[0] / deficits[1] > 3.5
-    assert deficits[1] < 1e-7
+    assert deficits[0] / deficits[1] >= 64.0
+
+
+def test_cn_grid_sized_from_narrowest_spread():
+    # In the frame Q = e^{gamma t/2} q the spreads range over e^{2r}
+    # whatever the damping, so the point count depends on r alone:
+    # ceil(24 * 16 * e^{2r}) rounded up to 2^k + 1, at most CN_MAX_POINTS.
+    for gamma in (0.0, 1.2, 1.8, 1.95):
+        params = make_params(1.0, gamma, 1.0, 1.0)
+        assert _cn_grid(params, SqueezeParams(0.5, 1.0)).n_points == 2049
+        assert _cn_grid(params, SqueezeParams(1.0, 1.0)).n_points == 4097
+        assert _cn_grid(params, SqueezeParams(3.0, 1.0)).n_points == CN_MAX_POINTS
+    assert CN_MAX_POINTS == 32769
+
+
+def test_cn_frame_resolves_strong_damping():
+    # In q the packet narrows about 650x (gamma/(2 omega0) = 0.9) and
+    # 1e6x (0.975) within a period; in the frame it keeps its width, so
+    # the deficit stays at the undamped level.
+    squeeze = SqueezeParams(0.5, 1.0)
+    for gamma in (0.0, 1.8, 1.95):
+        deficit, drift, _ = cn_cross_check(make_params(1.0, gamma, 1.0, 1.0), squeeze, 4000)
+        assert deficit < 1e-10
+        assert drift < 1e-11
+
+
+def test_cn_frame_matches_closed_form_mid_period():
+    # Over a whole period pi/omega the undamped oscillator only reflects
+    # Q -> -Q, which any even factor survives; at 0.37 of a period the
+    # frame map must be exactly right for the frame evolution to match.
+    squeeze = SqueezeParams(0.5, 1.0)
+    spec = StateSpec.number(0, squeeze)
+    for gamma in (1.2, 1.8):
+        params = make_params(1.0, gamma, 1.0, 1.0)
+        t1 = 0.37 * math.pi / params.omega
+        grid = _cn_grid(params, squeeze)
+        Q = grid.points()
+        phi0 = _in_frame(params, spec, 0.0, Q)
+        evolved = crank_nicolson_evolve(_frame_params(params), phi0, grid, 0.0, t1, 2000)
+        ref = _in_frame(params, spec, t1, Q)
+        overlap = complex(simpson(ref.conjugate() * evolved, dx=grid.dq))
+        assert abs(1.0 - abs(overlap) ** 2) < 1e-10
+        assert abs(float(simpson(np.abs(ref) ** 2, dx=grid.dq)) - 1.0) < 1e-12
 
 
 def test_cn_undamped_coherent_orbit_closes():
