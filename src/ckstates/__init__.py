@@ -52,9 +52,7 @@ from .oracle import (
 )
 from .states import (
     GaussCoeffs,
-    SingularPhaseError,
     StateSpec,
-    WaveSample,
     alpha_from_point,
     coherent_trajectory,
     eval_coherent_state,
@@ -80,10 +78,8 @@ __all__ = [
     "squeeze_from_mode",
     "special_squeeze",
     # states
-    "SingularPhaseError",
     "GaussCoeffs",
     "StateSpec",
-    "WaveSample",
     "hermite",
     "gauss_coeffs",
     "eval_number_state",

@@ -9,14 +9,22 @@ error.
 """
 
 import argparse
+import json
 import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .modes import NotUnderdampedError, SqueezeParams, make_params
+from .modes import (
+    NotUnderdampedError,
+    SqueezeParams,
+    _elementwise,
+    _envelope,
+    make_params,
+)
 from .observables import hamiltonian_expectation, uncertainty_product
 from .oracle import ToleranceConfig, make_grid, validate
 from .states import (
@@ -28,6 +36,12 @@ from .states import (
 )
 
 __all__ = ["RunConfig", "UsageError", "main"]
+
+# Rows rendered per write: the text of a few thousand rows at a time
+# instead of the whole table.
+TABLE_CHUNK_ROWS = 4096
+
+_square = partial(pow, exp=2)
 
 
 class UsageError(ValueError):
@@ -82,10 +96,6 @@ _CONVERTERS = {
     "format": str,
     "out": str,
 }
-
-
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _read_key_values(path: str) -> dict:
@@ -150,34 +160,41 @@ def _read_tolerances(path: str | None) -> ToleranceConfig:
     return ToleranceConfig().override(**overrides)
 
 
-def _emit(lines: list, out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+def _write(chunks, out: str | None) -> None:
+    """Write strings to the file ``out``, or to stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            for chunk in chunks:
+                handle.write(chunk)
     else:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
 
 
-def _table_lines(columns: tuple, units: tuple, rows, fmt: str) -> list:
-    """Render rows as CSV or JSON lines, header first."""
-    import json
+def _write_table(columns: tuple, units: tuple, data: tuple, cfg: RunConfig) -> None:
+    """Write the header and one CSV or JSON line per row of the equal-length
+    float arrays ``data``, one per column.
 
-    if fmt == "csv":
-        lines = [",".join(f"{c} [{u}]" for c, u in zip(columns, units))]
-        lines.extend(",".join(_g17(v) for v in row) for row in rows)
-        return lines
-    meta = (
-        f'{{"columns": {json.dumps(list(columns))}, '
-        f'"units": {json.dumps(list(units))}}}'
-    )
-    lines = [meta]
-    for row in rows:
-        body = ", ".join(
-            f"{json.dumps(c)}: {_g17(v)}" for c, v in zip(columns, row)
-        )
-        lines.append("{" + body + "}")
-    return lines
+    Each row is one precompiled ``%`` template filled with 17-digit values,
+    ``TABLE_CHUNK_ROWS`` rows at a time, so the text of the whole table is
+    never held at once.  Every column is computed before the call, so an
+    error leaves no partial output.
+    """
+    if cfg.format == "csv":
+        header = ",".join(f"{c} [{u}]" for c, u in zip(columns, units))
+        row = ",".join(["%.17g"] * len(columns)) + "\n"
+    else:
+        header = json.dumps({"columns": list(columns), "units": list(units)})
+        row = "{" + ", ".join(f"{json.dumps(c)}: %.17g" for c in columns) + "}\n"
+    n_rows = len(data[0])
+
+    def chunks():
+        yield header + "\n"
+        for start in range(0, n_rows, TABLE_CHUNK_ROWS):
+            block = [col[start : start + TABLE_CHUNK_ROWS].tolist() for col in data]
+            yield "".join(map(row.__mod__, zip(*block)))
+
+    _write(chunks(), cfg.out)
 
 
 def _params_squeeze(cfg: RunConfig):
@@ -195,19 +212,14 @@ def _time_samples(cfg: RunConfig, omega: float) -> np.ndarray:
 def cmd_uncertainty(cfg: RunConfig) -> int:
     """Rows (t, dq, dp, product, bound, ratio) over the time window."""
     params, squeeze = _params_squeeze(cfg)
-    rows = []
-    for t in _time_samples(cfg, params.omega):
-        rec = uncertainty_product(params, cfg.n, squeeze, float(t))
-        rows.append(
-            (rec.t, rec.dq, rec.dp, rec.product, rec.bound, rec.product / rec.bound)
-        )
-    lines = _table_lines(
+    t = _time_samples(cfg, params.omega)
+    rec = uncertainty_product(params, cfg.n, squeeze, t)
+    _write_table(
         ("t", "dq", "dp", "product", "bound", "ratio"),
         ("time", "length", "momentum", "action", "action", "1"),
-        rows,
-        cfg.format,
+        (t, rec.dq, rec.dp, rec.product, np.full(t.shape, rec.bound), rec.product / rec.bound),
+        cfg,
     )
-    _emit(lines, cfg.out)
     return 0
 
 
@@ -228,15 +240,33 @@ def cmd_wavefunction(cfg: RunConfig) -> int:
         psi = eval_coherent_state(params, spec, cfg.t0, q)
     else:
         psi = eval_number_state(params, spec, cfg.t0, q)
-    rows = zip(q, psi.real, psi.imag, np.abs(psi) ** 2)
-    lines = _table_lines(
+    _write_table(
         ("q", "re_psi", "im_psi", "density"),
         ("length", "1/sqrt(length)", "1/sqrt(length)", "1/length"),
-        rows,
-        cfg.format,
+        (q, psi.real, psi.imag, np.abs(psi) ** 2),
+        cfg,
     )
-    _emit(lines, cfg.out)
     return 0
+
+
+def _coherent_energy(params, squeeze, cfg: RunConfig, t: np.ndarray):
+    """Path (q_c, p_c) of the coherent state through (qc, pc) at t0, and its
+    energy: the classical energy plus the ground-state fluctuation energy.
+
+    Squares go through libm pow, as Python's ``x**2`` on a float does.
+    """
+    alpha = alpha_from_point(params, squeeze, cfg.qc or 0.0, cfg.pc or 0.0, cfg.t0)
+    q_c, p_c = coherent_trajectory(params, squeeze, alpha, t)
+    energy = (
+        _envelope(-params.gamma * t) * _elementwise(_square, p_c) / (2.0 * params.m0)
+        + 0.5
+        * params.m0
+        * params.omega0**2
+        * _envelope(params.gamma * t)
+        * _elementwise(_square, q_c)
+        + hamiltonian_expectation(params, 0, squeeze, t)
+    )
+    return q_c, p_c, energy
 
 
 def cmd_trajectory(cfg: RunConfig) -> int:
@@ -249,24 +279,13 @@ def cmd_trajectory(cfg: RunConfig) -> int:
     if "n" in cfg.given:
         raise UsageError("trajectory is defined for coherent states; drop --n")
     params, squeeze = _params_squeeze(cfg)
-    alpha = alpha_from_point(params, squeeze, cfg.qc or 0.0, cfg.pc or 0.0, cfg.t0)
-    rows = []
-    for t in _time_samples(cfg, params.omega):
-        t = float(t)
-        q_c, p_c = coherent_trajectory(params, squeeze, alpha, t)
-        energy = (
-            math.exp(-params.gamma * t) * p_c**2 / (2.0 * params.m0)
-            + 0.5 * params.m0 * params.omega0**2 * math.exp(params.gamma * t) * q_c**2
-            + hamiltonian_expectation(params, 0, squeeze, t)
-        )
-        rows.append((t, q_c, p_c, energy))
-    lines = _table_lines(
+    t = _time_samples(cfg, params.omega)
+    _write_table(
         ("t", "qc", "pc", "energy"),
         ("time", "length", "momentum", "energy"),
-        rows,
-        cfg.format,
+        (t, *_coherent_energy(params, squeeze, cfg, t)),
+        cfg,
     )
-    _emit(lines, cfg.out)
     return 0
 
 
@@ -278,32 +297,12 @@ def cmd_hamiltonian(cfg: RunConfig) -> int:
     ground-state fluctuation energy.
     """
     params, squeeze = _params_squeeze(cfg)
-    coherent = cfg.qc is not None or cfg.pc is not None
-    if coherent:
-        alpha = alpha_from_point(
-            params, squeeze, cfg.qc or 0.0, cfg.pc or 0.0, cfg.t0
-        )
-    rows = []
-    for t in _time_samples(cfg, params.omega):
-        t = float(t)
-        if coherent:
-            q_c, p_c = coherent_trajectory(params, squeeze, alpha, t)
-            energy = (
-                math.exp(-params.gamma * t) * p_c**2 / (2.0 * params.m0)
-                + 0.5
-                * params.m0
-                * params.omega0**2
-                * math.exp(params.gamma * t)
-                * q_c**2
-                + hamiltonian_expectation(params, 0, squeeze, t)
-            )
-        else:
-            energy = hamiltonian_expectation(params, cfg.n, squeeze, t)
-        rows.append((t, energy))
-    lines = _table_lines(
-        ("t", "energy"), ("time", "energy"), rows, cfg.format
-    )
-    _emit(lines, cfg.out)
+    t = _time_samples(cfg, params.omega)
+    if cfg.qc is not None or cfg.pc is not None:
+        energy = _coherent_energy(params, squeeze, cfg, t)[2]
+    else:
+        energy = hamiltonian_expectation(params, cfg.n, squeeze, t)
+    _write_table(("t", "energy"), ("time", "energy"), (t, energy), cfg)
     return 0
 
 
@@ -313,7 +312,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     tolerances = _read_tolerances(cfg.tol_overrides)
     report = validate(params, tolerances=tolerances, flip_b_sign=cfg.flip_b_sign)
     text = report.to_json() if cfg.format == "json" else report.to_table()
-    _emit([text], cfg.out)
+    _write([text + "\n"], cfg.out)
     return 0 if report.all_passed else 1
 
 

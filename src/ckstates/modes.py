@@ -18,11 +18,22 @@ two-parameter squeezed family ``u_{r phi}``, and the maps between mode
 values and squeeze parameters.
 
 Only the underdamped regime (gamma < 2 omega0) is supported.
+
+The mode functions and the closed forms built on them take a time ``t``
+that is a float or an ndarray; a float gives Python floats and complex
+numbers, an array gives arrays.  Both paths run the same operations in the
+same order as CPython's own complex arithmetic, and the exponentials go
+through libm elementwise, so a value is the same bits whichever way it was
+asked for: numpy's exp and complex kernels round differently on some
+inputs.
 """
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "NotUnderdampedError",
@@ -135,15 +146,86 @@ class SqueezeParams:
 
 @dataclass(frozen=True)
 class ModeValue:
-    """A mode function and its time derivative at one instant.
+    """A mode function and its time derivative at one instant or at an
+    array of instants.
 
     ``u`` has units 1/sqrt(mass * frequency) so that the Wronskian
     m0 e^{gamma t} (u u'* - u* u') is exactly i for admissible modes.
+    The fields are complex numbers and a float ``t``, or complex arrays
+    and a float array ``t`` of one shape.
     """
 
-    u: complex
-    udot: complex
-    t: float
+    u: complex | np.ndarray
+    udot: complex | np.ndarray
+    t: float | np.ndarray
+
+
+def _as_time(t) -> float | np.ndarray:
+    """``t`` as a float, or as a float ndarray of at least one dimension."""
+    if isinstance(t, np.ndarray) and t.ndim:
+        return t.astype(float, copy=False)
+    return float(t)
+
+
+def _elementwise(fn, x):
+    """``fn`` of a float, or of each element of an ndarray as a Python float."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return fn(x)
+
+
+def _envelope(x):
+    """e^x of a float or an ndarray by libm exp, as ``math.exp`` gives it.
+
+    Raises OverflowError above the double range, like ``math.exp``, and
+    ArithmeticError below the smallest normal double, where a damping
+    envelope e^{gamma t} has lost its precision or vanished and the
+    closed forms it scales would print wrong numbers.
+    """
+    y = _elementwise(math.exp, x)
+    low = y.min() if isinstance(y, np.ndarray) else y
+    if low < sys.float_info.min:
+        x_low = x.min() if isinstance(x, np.ndarray) else x
+        raise ArithmeticError(
+            f"e^({float(x_low)!r}) = {float(low)!r} underflows the normal double range"
+        )
+    return y
+
+
+# numpy's cos and sin gave libm's bits on 4 million sampled arguments in
+# |x| <= 2000; its exp differed on 4.6 % of them, hence _envelope.
+def _cos(x):
+    return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
+
+
+def _sin(x):
+    return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
+
+
+def _modulus(z):
+    """|z| of a complex or a complex ndarray; np.hypot is libm hypot, as abs() is."""
+    return np.hypot(z.real, z.imag) if isinstance(z, np.ndarray) else abs(z)
+
+
+def _complex(re, im):
+    if isinstance(re, np.ndarray):
+        z = np.empty(re.shape, complex)
+        z.real, z.imag = re, im
+        return z
+    return complex(re, im)
+
+
+def _cmul(a_re, a_im, b_re, b_im):
+    """(a_re + i a_im)(b_re + i b_im) as CPython forms it; a float factor
+    enters with imaginary part 0.0, as CPython promotes it."""
+    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
+
+
+def _bogoliubov(mu: float, nu: complex, z):
+    """mu z + nu z* of a complex or a complex ndarray z."""
+    a_re, a_im = _cmul(mu, 0.0, z.real, z.imag)
+    b_re, b_im = _cmul(nu.real, nu.imag, z.real, -z.imag)
+    return _complex(a_re + b_re, a_im + b_im)
 
 
 def make_params(m0: float, gamma: float, omega0: float, hbar: float) -> PhysicalParams:
@@ -169,31 +251,35 @@ def make_params(m0: float, gamma: float, omega0: float, hbar: float) -> Physical
     return PhysicalParams(m0=m0, gamma=gamma, omega0=omega0, hbar=hbar, omega=omega)
 
 
-def mode_u0(params: PhysicalParams, t: float) -> ModeValue:
+def mode_u0(params: PhysicalParams, t: float | np.ndarray) -> ModeValue:
     """Zero-squeezing mode u0(t) = e^{-gamma t/2} e^{-i omega t} / sqrt(2 m0 omega).
 
-    The prefactor enforces the Wronskian normalization exactly.
+    ``t`` is a float or an ndarray.  The prefactor enforces the Wronskian
+    normalization exactly.
     """
-    u = (
-        math.exp(-params.gamma * t / 2.0)
-        / math.sqrt(2.0 * params.m0 * params.omega)
-        * cmath.exp(-1j * params.omega * t)
-    )
-    udot = complex(-params.gamma / 2.0, -params.omega) * u
-    return ModeValue(u=u, udot=udot, t=t)
+    t = _as_time(t)
+    amp = _envelope(-params.gamma * t / 2.0) / math.sqrt(2.0 * params.m0 * params.omega)
+    # cmath.exp(-1j * omega * t) forms its argument as 0.0 + i (0.0 + -omega t).
+    phase = 0.0 + -params.omega * t
+    re, im = _cmul(amp, 0.0, _cos(phase), _sin(phase))
+    dre, dim = _cmul(-params.gamma / 2.0, -params.omega, re, im)
+    return ModeValue(u=_complex(re, im), udot=_complex(dre, dim), t=t)
 
 
-def mode_u_rphi(params: PhysicalParams, squeeze: SqueezeParams, t: float) -> ModeValue:
+def mode_u_rphi(
+    params: PhysicalParams, squeeze: SqueezeParams, t: float | np.ndarray
+) -> ModeValue:
     """General mode u_{r phi} = cosh(r) u0 + e^{i phi} sinh(r) u0*.
 
-    |mu|^2 - |nu|^2 = 1 preserves the Wronskian for every (r, phi).
+    ``t`` is a float or an ndarray.  |mu|^2 - |nu|^2 = 1 preserves the
+    Wronskian for every (r, phi).
     """
     base = mode_u0(params, t)
     mu = math.cosh(squeeze.r)
     nu = cmath.exp(1j * squeeze.phi) * math.sinh(squeeze.r)
-    u = mu * base.u + nu * base.u.conjugate()
-    udot = mu * base.udot + nu * base.udot.conjugate()
-    return ModeValue(u=u, udot=udot, t=t)
+    return ModeValue(
+        u=_bogoliubov(mu, nu, base.u), udot=_bogoliubov(mu, nu, base.udot), t=base.t
+    )
 
 
 def wronskian(params: PhysicalParams, mode: ModeValue) -> complex:

@@ -33,7 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modes import PhysicalParams, SqueezeParams, mode_u_rphi
+from .modes import (
+    PhysicalParams,
+    SqueezeParams,
+    _as_time,
+    _envelope,
+    _modulus,
+    _sin,
+    mode_u_rphi,
+)
 from .states import MAX_N
 
 __all__ = [
@@ -66,7 +74,7 @@ class AngleGamma:
 
 @dataclass(frozen=True)
 class UncertaintyRecord:
-    """Uncertainties of one state at one time.
+    """Uncertainties of one state at one time or at an array of times.
 
     ``bound`` stores the zero-squeezing value (hbar/2) sigma0 (2n + 1),
     which the r = 0 family attains exactly at all times.  It is not a
@@ -74,14 +82,15 @@ class UncertaintyRecord:
     below ``bound`` at isolated phases, down to the floor F of the module
     docstring, which equals the Heisenberg floor (hbar/2)(2n + 1) once
     tanh 2r >= gamma/(2 omega0).  The record therefore reports, and does
-    not enforce, product >= bound.
+    not enforce, product >= bound.  ``dq``, ``dp``, ``product`` and ``t``
+    are floats, or arrays of one shape; ``bound`` is always a float.
     """
 
-    dq: float
-    dp: float
-    product: float
+    dq: float | np.ndarray
+    dp: float | np.ndarray
+    product: float | np.ndarray
     bound: float
-    t: float
+    t: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -135,21 +144,28 @@ def _bracket_product(
 
 
 def uncertainty_product(
-    params: PhysicalParams, n: int, squeeze: SqueezeParams, t: float
+    params: PhysicalParams, n: int, squeeze: SqueezeParams, t: float | np.ndarray
 ) -> UncertaintyRecord:
     """Uncertainties dq, dp and their product for the n-th squeezed state.
 
-    dq and dp are taken from the mode moduli; their product equals the
-    bracket closed form quoted in the module docstring to rounding.
+    ``t`` is a float or an ndarray.  dq and dp are taken from the mode
+    moduli; their product equals the bracket closed form quoted in the
+    module docstring to rounding.
+
+    Raises
+    ------
+    ArithmeticError
+        If the envelope e^{gamma t} overflows (OverflowError) or falls
+        below the smallest normal double.
     """
     if not (0 <= n <= MAX_N):
         raise ValueError(f"number index must be in [0, {MAX_N}], got {n}")
     mode = mode_u_rphi(params, squeeze, t)
     scale = math.sqrt(params.hbar * (2 * n + 1))
-    dq = scale * abs(mode.u)
-    dp = scale * params.m0 * math.exp(params.gamma * t) * abs(mode.udot)
+    dq = scale * _modulus(mode.u)
+    dp = scale * params.m0 * _envelope(params.gamma * mode.t) * _modulus(mode.udot)
     bound = 0.5 * params.hbar * sigma0(params) * (2 * n + 1)
-    return UncertaintyRecord(dq=dq, dp=dp, product=dq * dp, bound=bound, t=t)
+    return UncertaintyRecord(dq=dq, dp=dp, product=dq * dp, bound=bound, t=mode.t)
 
 
 def uncertainty_time_avg(
@@ -182,21 +198,23 @@ def uncertainty_time_avg(
 
 
 def hamiltonian_expectation(
-    params: PhysicalParams, n: int, squeeze: SqueezeParams, t: float
-) -> float:
+    params: PhysicalParams, n: int, squeeze: SqueezeParams, t: float | np.ndarray
+) -> float | np.ndarray:
     """Energy expectation of the n-th squeezed state.
 
     <H> = (hbar omega / 2) sec^2(theta_gamma/2)
           [cosh 2r + sinh 2r sin(theta_gamma/2)
                      sin(2 omega t + phi + theta_gamma/2)] (2n + 1).
 
-    Constant in t at r = 0 with value (hbar omega0^2)/(2 omega) (2n + 1).
+    ``t`` is a float or an ndarray.  Constant in t at r = 0 with value
+    (hbar omega0^2)/(2 omega) (2n + 1).
     """
     if not (0 <= n <= MAX_N):
         raise ValueError(f"number index must be in [0, {MAX_N}], got {n}")
+    t = _as_time(t)
     half_angle = theta_gamma(params).theta / 2.0
     sec2 = 1.0 / math.cos(half_angle) ** 2
     modulation = math.cosh(2.0 * squeeze.r) + math.sinh(2.0 * squeeze.r) * math.sin(
         half_angle
-    ) * math.sin(2.0 * params.omega * t + squeeze.phi + half_angle)
+    ) * _sin(2.0 * params.omega * t + squeeze.phi + half_angle)
     return 0.5 * params.hbar * params.omega * sec2 * modulation * (2 * n + 1)

@@ -29,6 +29,8 @@ from .modes import (
     NotUnderdampedError,
     PhysicalParams,
     SqueezeParams,
+    _envelope,
+    _modulus,
     make_params,
     mode_u_rphi,
     special_squeeze,
@@ -83,10 +85,14 @@ BOUNDARY_LEAK_TOL = 1e-8
 # period, with this many points per narrowest spread, capped at
 # CN_MAX_POINTS.  The frame spreads range over at most a factor e^{2r},
 # whatever the damping, so r = 0.5 gets 2049 points (31 per narrowest
-# spread) at every gamma, and the fidelity deficit at 4000 steps per period
-# is near 2e-11, far under the 1e-6 tolerance.
+# spread) at every gamma, and the fidelity deficit at 4000 steps over the
+# CN_PERIODS window is near 1.4e-10, far under the 1e-6 tolerance.
 CN_POINTS_PER_SPREAD = 16
 CN_MAX_POINTS = 32769
+
+# Length of the cross-check propagation, in periods pi/omega; not a whole
+# number, see cn_cross_check.
+CN_PERIODS = 1.37
 
 
 class BoundaryLeakError(RuntimeError):
@@ -454,17 +460,16 @@ def _cn_grid(params: PhysicalParams, squeeze: SqueezeParams) -> GridSpec:
     """Grid of :func:`cn_cross_check` in the frame coordinate
     Q = e^{gamma t/2} q, from the frame spreads e^{gamma t/2} sqrt(hbar)|u(t)|
     at 257 instants of one period (see ``CN_POINTS_PER_SPREAD``)."""
-    period = math.pi / params.omega
-    spreads = [
-        math.exp(0.5 * params.gamma * tt)
+    ts = np.linspace(0.0, math.pi / params.omega, 257)
+    spreads = (
+        _envelope(0.5 * params.gamma * ts)
         * math.sqrt(params.hbar)
-        * abs(mode_u_rphi(params, squeeze, tt).u)
-        for tt in np.linspace(0.0, period, 257)
-    ]
-    widest = max(spreads)
+        * _modulus(mode_u_rphi(params, squeeze, ts).u)
+    )
+    widest = float(spreads.max())
     n_points = min(
         CN_MAX_POINTS,
-        _clamp_points(math.ceil(24 * CN_POINTS_PER_SPREAD * widest / min(spreads))),
+        _clamp_points(math.ceil(24 * CN_POINTS_PER_SPREAD * widest / spreads.min())),
     )
     return GridSpec(q_min=-12.0 * widest, q_max=12.0 * widest, n_points=n_points)
 
@@ -497,8 +502,9 @@ def cn_cross_check(
     *,
     flip_b_sign: bool = False,
 ) -> tuple[float, float, GridSpec]:
-    """Propagate the squeezed ground state over one period pi/omega with
-    :func:`crank_nicolson_evolve` and compare with the closed form.
+    """Propagate the squeezed ground state over ``CN_PERIODS`` = 1.37
+    periods pi/omega with :func:`crank_nicolson_evolve` and compare with the
+    closed form.
 
     The propagation runs in the frame Q = e^{gamma t/2} q, where
     psi(q, t) = e^{gamma t/4} e^{-i beta Q^2} phi(Q, t), beta = m0 gamma/(4 hbar),
@@ -512,6 +518,11 @@ def cn_cross_check(
     packet's width varies by at most e^{2r} instead of narrowing by about
     e^{pi gamma/(2 omega)}, so the grid does not depend on the damping.
 
+    The window is not a whole number of periods: over exactly one period
+    the exact frame propagator is Q -> -Q times a phase, so an error of
+    the closed form that multiplies the state by the same even function
+    of Q at both ends (a wrong chirp sign, for one) would pass unseen.
+
     The box spans 24 of the widest frame spreads over the period, with
     ``CN_POINTS_PER_SPREAD`` points per narrowest spread, at most
     ``CN_MAX_POINTS``.
@@ -523,14 +534,12 @@ def cn_cross_check(
         of the propagated samples, and the grid used, in Q.
     """
     spec = StateSpec.number(0, squeeze)
-    period = math.pi / params.omega
+    t1 = CN_PERIODS * math.pi / params.omega
     grid = _cn_grid(params, squeeze)
     Q = grid.points()
     phi0 = _in_frame(params, spec, 0.0, Q, flip_b_sign)
-    evolved = crank_nicolson_evolve(
-        _frame_params(params), phi0, grid, 0.0, period, n_steps
-    )
-    ref = _in_frame(params, spec, period, Q, flip_b_sign)
+    evolved = crank_nicolson_evolve(_frame_params(params), phi0, grid, 0.0, t1, n_steps)
+    ref = _in_frame(params, spec, t1, Q, flip_b_sign)
     overlap = complex(simpson(ref.conjugate() * evolved, dx=grid.dq))
     deficit = abs(1.0 - abs(overlap) ** 2)
     drift = abs(

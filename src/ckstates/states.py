@@ -25,14 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modes import ModeValue, PhysicalParams, SqueezeParams, mode_u_rphi
+from .modes import PhysicalParams, SqueezeParams, _envelope, mode_u_rphi
 
 __all__ = [
     "MAX_N",
-    "SingularPhaseError",
     "GaussCoeffs",
     "StateSpec",
-    "WaveSample",
     "hermite",
     "gauss_coeffs",
     "eval_number_state",
@@ -44,15 +42,6 @@ __all__ = [
 # Upward Hermite recurrence stays within double-precision range for
 # |A q| <= 8 up to this order.
 MAX_N = 32
-
-
-class SingularPhaseError(ArithmeticError):
-    """Raised if the mode derivative vanishes at the evaluation time.
-
-    For underdamped parameters |u'_{r phi}|^2 >= e^{-2r} |u'_0|^2 > 0, so
-    this is unreachable through the public constructors; the guard is kept
-    as a defensive contract for hand-built mode values.
-    """
 
 
 @dataclass(frozen=True)
@@ -101,14 +90,6 @@ class StateSpec:
     @classmethod
     def coherent(cls, q_c: float, p_c: float, squeeze: SqueezeParams) -> "StateSpec":
         return cls(kind="coherent", squeeze=squeeze, q_c=q_c, p_c=p_c)
-
-
-@dataclass(frozen=True)
-class WaveSample:
-    """One grid point of a sampled wave function."""
-
-    q: float
-    psi: complex
 
 
 def hermite(n: int, x):
@@ -166,7 +147,7 @@ def gauss_coeffs(
     b_coeff = (
         -1j
         * params.m0
-        * math.exp(params.gamma * t)
+        * _envelope(params.gamma * t)
         * mode.udot.conjugate()
         / (2.0 * params.hbar * mode.u.conjugate())
     )
@@ -212,14 +193,6 @@ def eval_number_state(
     return complex(psi) if qa.ndim == 0 else psi
 
 
-def _require_regular_phase(params: PhysicalParams, mode: ModeValue) -> None:
-    # |udot| ~ omega0 |u| sets the natural scale of the derivative.
-    if abs(mode.udot) <= 1e-12 * params.omega0 * abs(mode.u):
-        raise SingularPhaseError(
-            f"mode derivative vanishes at t={mode.t}; coherent phase undefined"
-        )
-
-
 def eval_coherent_state(
     params: PhysicalParams,
     spec: StateSpec,
@@ -243,8 +216,6 @@ def eval_coherent_state(
     """
     if spec.kind != "coherent":
         raise ValueError(f"expected a coherent-state spec, got kind {spec.kind!r}")
-    mode = mode_u_rphi(params, spec.squeeze, t)
-    _require_regular_phase(params, mode)
     coeffs = gauss_coeffs(
         params, spec.squeeze, t, theta_mode=theta_mode, flip_b_sign=flip_b_sign
     )
@@ -260,19 +231,30 @@ def eval_coherent_state(
 
 
 def coherent_trajectory(
-    params: PhysicalParams, squeeze: SqueezeParams, alpha: complex, t: float
-) -> tuple[float, float]:
+    params: PhysicalParams,
+    squeeze: SqueezeParams,
+    alpha: complex,
+    t: float | np.ndarray,
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Classical phase-space point carried by the coherent state ``alpha``.
 
     q_c = sqrt(hbar) (alpha u + alpha* u*) and
     p_c = sqrt(hbar) m0 e^{gamma t} (alpha u' + alpha* u'*); both real.
     The eigenvalue alpha is a constant of motion, so one alpha traces the
-    full damped trajectory.
+    full damped trajectory.  ``t`` is a float or an ndarray; so are q_c
+    and p_c.
     """
     mode = mode_u_rphi(params, squeeze, t)
+    alpha = complex(alpha)
     sq = math.sqrt(params.hbar)
-    q_c = sq * 2.0 * (alpha * mode.u).real
-    p_c = sq * params.m0 * math.exp(params.gamma * t) * 2.0 * (alpha * mode.udot).real
+    q_c = sq * 2.0 * (alpha.real * mode.u.real - alpha.imag * mode.u.imag)
+    p_c = (
+        sq
+        * params.m0
+        * _envelope(params.gamma * mode.t)
+        * 2.0
+        * (alpha.real * mode.udot.real - alpha.imag * mode.udot.imag)
+    )
     return q_c, p_c
 
 
@@ -286,7 +268,7 @@ def alpha_from_point(
     normalization makes this map exactly inverse to the trajectory.
     """
     mode = mode_u_rphi(params, squeeze, t)
-    weight = params.m0 * math.exp(params.gamma * t)
+    weight = params.m0 * _envelope(params.gamma * t)
     return (
         1j
         / math.sqrt(params.hbar)

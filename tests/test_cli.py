@@ -216,6 +216,36 @@ def test_out_writes_file_instead_of_stdout(tmp_path, capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["uncertainty", "--r", "0.7", "--phi", "2.2", "--n", "3"],
+        ["trajectory", "--qc", "1", "--pc", "-0.5", "--r", "0.3"],
+        ["hamiltonian", "--qc", "0.4", "--r", "0.9"],
+        ["hamiltonian", "--n", "2", "--r", "0.9"],
+    ],
+    ids=["uncertainty", "trajectory", "hamiltonian-coherent", "hamiltonian-number"],
+)
+def test_out_file_equals_stdout(argv, fmt, tmp_path, capsys):
+    # 5000 rows span two chunks of the table writer.
+    argv = argv + ["--nt", "5000", "--format", fmt]
+    target = tmp_path / "table.out"
+    rc, stdout, _ = run_cli(argv, capsys)
+    assert rc == 0
+    rc, out, _ = run_cli(argv + ["--out", str(target)], capsys)
+    assert rc == 0 and out == ""
+    assert target.read_bytes() == stdout.encode("utf-8")
+    rows = stdout.splitlines()[1:]
+    assert len(rows) == 5000
+    if fmt == "csv":
+        ts = [float(row.split(",")[0]) for row in rows]
+    else:
+        ts = [json.loads(row)["t"] for row in rows]
+    period = 2.0 * math.pi / make_params(1.0, 1.2, 1.0, 1.0).omega
+    assert ts == pytest.approx([period * k / 4999 for k in range(5000)], abs=1e-12)
+
+
 def test_repeat_runs_are_byte_identical(capsys):
     argv = ["uncertainty", "--r", "0.7", "--phi", "2.2", "--nt", "16"]
     _, first, _ = run_cli(argv, capsys)
@@ -285,12 +315,14 @@ def test_non_finite_parameter_exits_2(flag, value, capsys):
 
 
 def test_arithmetic_overflow_exits_2(capsys):
-    # e^{gamma t} overflows a double at gamma = 1.2, t = 600.
-    rc, out, err = run_cli(["uncertainty", "--t0", "600", "--nt", "2"], capsys)
-    assert rc == 2
-    assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "OverflowError" in err
+    # e^{gamma t} overflows a double at gamma = 1.2, t = 600; it is
+    # subnormal at t = -600 and 0 at t = -1000, where dp would print 0.
+    for t0 in ("600", "-600", "-1000"):
+        rc, out, err = run_cli(["uncertainty", "--t0", t0, "--nt", "2"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert ("OverflowError" if t0 == "600" else "underflows") in err
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -301,9 +301,10 @@ def test_cn_round_trip_fidelity():
 def test_cn_second_order_in_time():
     # Fidelity deficit is the squared orthogonal error, so halving dt
     # shrinks it by at least 4x once above the spatial floor (observed
-    # ratio 16.0 on the sized 2049-point grid).
+    # ratio 16.0 on the sized 2049-point grid).  The 1.37-period window
+    # takes 1000 and 2000 steps per period.
     squeeze = SqueezeParams(0.5, 1.0)
-    deficits = [cn_cross_check(P_STAR, squeeze, n_steps)[0] for n_steps in (1000, 2000)]
+    deficits = [cn_cross_check(P_STAR, squeeze, n_steps)[0] for n_steps in (1370, 2740)]
     assert deficits[0] / deficits[1] > 3.5
     assert deficits[1] < 1e-7
 
@@ -343,10 +344,11 @@ def test_cn_grid_sized_from_narrowest_spread():
 def test_cn_frame_resolves_strong_damping():
     # In q the packet narrows about 650x (gamma/(2 omega0) = 0.9) and
     # 1e6x (0.975) within a period; in the frame it keeps its width, so
-    # the deficit stays at the undamped level.
+    # the deficit stays at the undamped level.  5480 steps over the
+    # 1.37-period window are 4000 per period (deficit 3.9e-11 at each gamma).
     squeeze = SqueezeParams(0.5, 1.0)
     for gamma in (0.0, 1.8, 1.95):
-        deficit, drift, _ = cn_cross_check(make_params(1.0, gamma, 1.0, 1.0), squeeze, 4000)
+        deficit, drift, _ = cn_cross_check(make_params(1.0, gamma, 1.0, 1.0), squeeze, 5480)
         assert deficit < 1e-10
         assert drift < 1e-11
 
