@@ -18,13 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .modes import (
-    NotUnderdampedError,
-    SqueezeParams,
-    _elementwise,
-    _envelope,
-    make_params,
-)
+from .modes import SqueezeParams, _elementwise, _envelope, make_params
 from .observables import hamiltonian_expectation, uncertainty_product
 from .oracle import ToleranceConfig, make_grid, validate
 from .states import (
@@ -394,10 +388,8 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         return _COMMANDS[args.command](cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NotUnderdampedError, ValueError) as exc:
+    except ValueError as exc:
+        # UsageError and NotUnderdampedError are ValueErrors too.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -12,21 +12,25 @@ Agreement between these routes and the closed-form layer is what
 :func:`validate` certifies.
 
 Finite differences rather than spectral transforms keep the oracle free
-of transform conventions; the 4th-order stencils are sufficient for every
-tolerance used here.  Grids use Dirichlet-zero boundaries and are sized
-so the boundary amplitude is negligible; evolution monitors boundary
-leakage explicitly.
+of transform conventions.  The 4th-order stencils meet every tolerance
+at moderate damping, but not across the whole underdamped range: grids
+are sized from |psi| alone, so the chirp of a squeezed state is
+under-resolved at strong damping, and ``moments_product`` at
+(n, r, phi, t) = (4, 1.5, 1.0, 0.3) reads 2.6e-7 against its 1e-8
+tolerance at gamma = 1.882 omega0 (ROADMAP item 2).  Grids use
+Dirichlet-zero boundaries and are sized so the boundary amplitude is
+negligible; evolution monitors boundary leakage explicitly.
 """
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from .modes import (
-    NotUnderdampedError,
     PhysicalParams,
     SqueezeParams,
     _envelope,
@@ -210,24 +214,6 @@ def _d2dx2(f: np.ndarray, dx: float) -> np.ndarray:
 
 def _l2(f: np.ndarray, dq: float) -> float:
     return math.sqrt(abs(float(simpson(np.abs(f) ** 2, dx=dq))))
-
-
-def _eval_state(
-    params: PhysicalParams,
-    spec: StateSpec,
-    t: float,
-    q: np.ndarray,
-    *,
-    theta_mode: str = "principal",
-    flip_b_sign: bool = False,
-) -> np.ndarray:
-    if spec.kind == "number":
-        return eval_number_state(
-            params, spec, t, q, theta_mode=theta_mode, flip_b_sign=flip_b_sign
-        )
-    return eval_coherent_state(
-        params, spec, t, q, theta_mode=theta_mode, flip_b_sign=flip_b_sign
-    )
 
 
 def moments(
@@ -579,16 +565,10 @@ class ToleranceConfig:
 
 @dataclass(frozen=True)
 class Check:
-    """One registered verification: a named kind and its parameter tuple.
-
-    ``gamma`` optionally overrides the run's damping rate for this point;
-    an override outside the underdamped regime turns the entry into a
-    skip rather than an error.
-    """
+    """One registered verification: a named kind and its parameter tuple."""
 
     name: str
     args: tuple = ()
-    gamma: float | None = None
 
 
 @dataclass(frozen=True)
@@ -702,175 +682,112 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _entry(
-    check: Check,
-    measured: float,
-    tolerance: float,
-    passed: bool,
-    *,
-    expected: float = 0.0,
-    reason: str = "",
-) -> ReportEntry:
-    return ReportEntry(
-        check_name=check.name,
-        parameter_tuple=check.args,
-        measured=measured,
-        expected=expected,
-        tolerance=tolerance,
-        passed=passed,
-        reason=reason,
-    )
+class _Skipped(Exception):
+    """Raised by a measuring function whose check does not apply at the
+    run's parameters; :func:`validate` records its entries as skipped."""
 
 
-def _spec_from_args(args: tuple) -> tuple[StateSpec, float]:
-    """Decode ("number", n, r, phi, t) or ("coherent", q_c, p_c, r, phi, t)."""
-    if args[0] == "number":
-        _, n, r, phi, t = args
-        return StateSpec.number(int(n), SqueezeParams(r=r, phi=phi)), t
-    if args[0] == "coherent":
-        _, q_c, p_c, r, phi, t = args
-        return StateSpec.coherent(q_c, p_c, SqueezeParams(r=r, phi=phi)), t
-    raise ValueError(f"unknown state kind in check args: {args[0]!r}")
-
-
-def _run_wronskian(params, check, tol, flip):
-    r, phi, t = check.args
-    w = wronskian(params, mode_u_rphi(params, SqueezeParams(r=r, phi=phi), t))
-    measured = abs(w - 1j)
-    return [_entry(check, measured, tol.wronskian, measured < tol.wronskian)]
-
-
-def _run_normalization(params, check, tol, flip):
-    spec, t = _spec_from_args(check.args)
-    grid = make_grid(params, spec, t)
-    psi = _eval_state(params, spec, t, grid.points(), flip_b_sign=flip)
-    measured = abs(float(simpson(np.abs(psi) ** 2, dx=grid.dq)) - 1.0)
-    return [_entry(check, measured, tol.normalization, measured < tol.normalization, expected=1.0)]
-
-
-def _run_moments_product(params, check, tol, flip):
-    n, r, phi, t = check.args
+def _state(kind: str, *point) -> tuple[StateSpec, float]:
+    """The state and time of ("number", n, r, phi, t) or
+    ("coherent", q_c, p_c, r, phi, t) check arguments."""
+    *coords, r, phi, t = point
     squeeze = SqueezeParams(r=r, phi=phi)
+    if kind == "coherent":
+        return StateSpec.coherent(*coords, squeeze), t
+    (n,) = coords
+    return StateSpec(kind, squeeze, int(n)), t
+
+
+def _number_samples(params, flip, n, squeeze, t, n_points):
+    """Grid and samples of the number state (n, squeeze) at time t."""
     spec = StateSpec.number(int(n), squeeze)
-    grid = make_grid(params, spec, t, n_points=65537)
-    psi = eval_number_state(params, spec, t, grid.points(), flip_b_sign=flip)
+    grid = make_grid(params, spec, t, n_points=n_points)
+    return grid, eval_number_state(params, spec, t, grid.points(), flip_b_sign=flip)
+
+
+# Measuring functions, one per check kind: (params, flip_b_sign, *check
+# args) -> the measured value of each entry the kind reports, optionally
+# followed by a reason string.
+
+
+def _wronskian(params, flip, r, phi, t):
+    w = wronskian(params, mode_u_rphi(params, SqueezeParams(r=r, phi=phi), t))
+    return abs(w - 1j)
+
+
+def _normalization(params, flip, kind, *point):
+    spec, t = _state(kind, *point)
+    grid = make_grid(params, spec, t)
+    evaluate = eval_number_state if kind == "number" else eval_coherent_state
+    psi = evaluate(params, spec, t, grid.points(), flip_b_sign=flip)
+    return abs(float(simpson(np.abs(psi) ** 2, dx=grid.dq)) - 1.0)
+
+
+def _moments_product(params, flip, n, r, phi, t):
+    squeeze = SqueezeParams(r=r, phi=phi)
+    grid, psi = _number_samples(params, flip, n, squeeze, t, 65537)
     m = moments(params, psi, grid, t=t)
     quad = math.sqrt(abs((m.q2 - m.q_mean**2) * (m.p2 - m.p_mean**2)))
     closed = uncertainty_product(params, int(n), squeeze, t).product
-    measured = abs(quad - closed) / closed
-    return [
-        _entry(
-            check, measured, tol.moments_rel, measured < tol.moments_rel,
-            reason=m.warning or "",
-        )
-    ]
+    return abs(quad - closed) / closed, m.warning or ""
 
 
-def _run_energy(params, check, tol, flip):
-    n, r, phi, t = check.args
+def _energy(params, flip, n, r, phi, t):
     squeeze = SqueezeParams(r=r, phi=phi)
-    spec = StateSpec.number(int(n), squeeze)
-    grid = make_grid(params, spec, t, n_points=65537)
-    psi = eval_number_state(params, spec, t, grid.points(), flip_b_sign=flip)
+    grid, psi = _number_samples(params, flip, n, squeeze, t, 65537)
     closed = hamiltonian_expectation(params, int(n), squeeze, t)
-    measured = abs(moments(params, psi, grid, t=t).energy - closed) / abs(closed)
-    return [_entry(check, measured, tol.energy_rel, measured < tol.energy_rel)]
+    return abs(moments(params, psi, grid, t=t).energy - closed) / abs(closed)
 
 
-def _run_residual(params, check, tol, flip):
-    spec, t = _spec_from_args(check.args)
+def _residual(params, flip, kind, *point):
+    spec, t = _state(kind, *point)
     grid = make_grid(params, spec, t, n_points=4097)
-    measured = schrodinger_residual(params, spec, t, grid, flip_b_sign=flip)
-    return [_entry(check, measured, tol.residual, measured < tol.residual)]
+    return schrodinger_residual(params, spec, t, grid, flip_b_sign=flip)
 
 
-def _run_ladder_vacuum(params, check, tol, flip):
-    r, phi, t = check.args
+def _ladder_vacuum(params, flip, r, phi, t):
     squeeze = SqueezeParams(r=r, phi=phi)
-    spec = StateSpec.number(0, squeeze)
-    grid = make_grid(params, spec, t, n_points=8193)
-    psi = eval_number_state(params, spec, t, grid.points(), flip_b_sign=flip)
+    grid, psi = _number_samples(params, flip, 0, squeeze, t, 8193)
     lowered = apply_annihilation(params, squeeze, t, psi, grid)
-    measured = _l2(lowered, grid.dq) / _l2(psi, grid.dq)
-    return [_entry(check, measured, tol.ladder_vacuum, measured < tol.ladder_vacuum)]
+    return _l2(lowered, grid.dq) / _l2(psi, grid.dq)
 
 
-def _run_ladder_step(params, check, tol, flip):
-    n, r, phi, t = check.args
+def _ladder_step(params, flip, n, r, phi, t):
     squeeze = SqueezeParams(r=r, phi=phi)
-    spec = StateSpec.number(int(n), squeeze)
-    grid = make_grid(params, spec, t, n_points=8193)
-    q = grid.points()
-    psi = eval_number_state(params, spec, t, q, flip_b_sign=flip)
+    grid, psi = _number_samples(params, flip, n, squeeze, t, 8193)
     below = StateSpec.number(int(n) - 1, squeeze)
-    ref = math.sqrt(n) * eval_number_state(params, below, t, q, flip_b_sign=flip)
+    ref = math.sqrt(n) * eval_number_state(
+        params, below, t, grid.points(), flip_b_sign=flip
+    )
     lowered = apply_annihilation(params, squeeze, t, psi, grid)
-    measured = _l2(lowered - ref, grid.dq) / _l2(ref, grid.dq)
-    return [_entry(check, measured, tol.ladder_step, measured < tol.ladder_step)]
+    return _l2(lowered - ref, grid.dq) / _l2(ref, grid.dq)
 
 
-def _run_ladder_bogoliubov(params, check, tol, flip):
-    r, phi, t = check.args
+def _ladder_bogoliubov(params, flip, r, phi, t):
     squeeze = SqueezeParams(r=r, phi=phi)
     # Generic test function: an excited state of a different family, so
     # neither side of the identity degenerates to 0 or a pure ladder step.
-    probe = StateSpec.number(2, SqueezeParams(r=0.3, phi=0.7))
-    grid = make_grid(params, probe, t, n_points=8193)
-    psi = eval_number_state(params, probe, t, grid.points(), flip_b_sign=flip)
+    grid, psi = _number_samples(params, flip, 2, SqueezeParams(r=0.3, phi=0.7), t, 8193)
     base = SqueezeParams(r=0.0, phi=0.0)
     lhs = apply_annihilation(params, squeeze, t, psi, grid)
     rhs = squeeze.mu.conjugate() * apply_annihilation(
         params, base, t, psi, grid
     ) - squeeze.nu.conjugate() * apply_creation(params, base, t, psi, grid)
-    measured = _l2(lhs - rhs, grid.dq) / _l2(lhs, grid.dq)
-    return [_entry(check, measured, tol.bogoliubov, measured < tol.bogoliubov)]
+    return _l2(lhs - rhs, grid.dq) / _l2(lhs, grid.dq)
 
 
-def _run_cn(params, check, tol, flip):
-    r, phi, n_steps = check.args
+def _cn(params, flip, r, phi, n_steps):
     deficit, drift, _ = cn_cross_check(
         params, SqueezeParams(r=r, phi=phi), int(n_steps), flip_b_sign=flip
     )
-    return [
-        ReportEntry(
-            check_name="cn_fidelity",
-            parameter_tuple=check.args,
-            measured=deficit,
-            expected=0.0,
-            tolerance=tol.cn_fidelity,
-            passed=deficit < tol.cn_fidelity,
-        ),
-        ReportEntry(
-            check_name="cn_norm_drift",
-            parameter_tuple=check.args,
-            measured=drift,
-            expected=0.0,
-            tolerance=tol.cn_norm_drift,
-            passed=drift < tol.cn_norm_drift,
-        ),
-    ]
+    return deficit, drift
 
 
-def _run_sim_wave(params, check, tol, flip):
-    (n,) = check.args
+def _sim_wave(params, flip, n):
     if params.gamma <= 0.0:
-        return [
-            ReportEntry(
-                check_name=check.name,
-                parameter_tuple=check.args,
-                measured=math.nan,
-                expected=0.0,
-                tolerance=tol.sim_wave,
-                passed=False,
-                skipped=True,
-                reason="special squeeze is undefined for gamma = 0",
-            )
-        ]
-    squeeze = special_squeeze(params)
-    spec = StateSpec.number(int(n), squeeze)
-    grid = make_grid(params, spec, 0.0)
+        raise _Skipped("special squeeze is undefined for gamma = 0")
+    grid, psi = _number_samples(params, flip, n, special_squeeze(params), 0.0, 2049)
     q = grid.points()
-    psi = eval_number_state(params, spec, 0.0, q, flip_b_sign=flip)
     a0 = math.sqrt(params.m0 * params.omega / params.hbar)
     sho = (
         (2.0 ** int(n) * math.factorial(int(n))) ** -0.5
@@ -881,12 +798,10 @@ def _run_sim_wave(params, check, tol, flip):
     phase = np.exp(
         -1j * math.atan(params.gamma / (4.0 * params.omega)) * (int(n) + 0.5)
     )
-    measured = float(np.max(np.abs(psi - phase * sho)))
-    return [_entry(check, measured, tol.sim_wave, measured < tol.sim_wave)]
+    return float(np.max(np.abs(psi - phase * sho)))
 
 
-def _run_coherent_moments(params, check, tol, flip):
-    alpha_re, alpha_im, r, phi, t = check.args
+def _coherent_moments(params, flip, alpha_re, alpha_im, r, phi, t):
     squeeze = SqueezeParams(r=r, phi=phi)
     q_c, p_c = coherent_trajectory(params, squeeze, complex(alpha_re, alpha_im), t)
     spec = StateSpec.coherent(q_c, p_c, squeeze)
@@ -894,76 +809,89 @@ def _run_coherent_moments(params, check, tol, flip):
     psi = eval_coherent_state(params, spec, t, grid.points(), flip_b_sign=flip)
     m = moments(params, psi, grid, t=t)
     scale = max(1.0, abs(q_c), abs(p_c))
-    measured = max(abs(m.q_mean - q_c), abs(m.p_mean - p_c)) / scale
-    return [
-        _entry(
-            check, measured, tol.coherent_moment, measured < tol.coherent_moment,
-            reason=m.warning or "",
-        )
-    ]
+    return max(abs(m.q_mean - q_c), abs(m.p_mean - p_c)) / scale, m.warning or ""
 
 
-def _run_coherent_uncertainty(params, check, tol, flip):
-    r, phi, t = check.args
+def _coherent_uncertainty(params, flip, r, phi, t):
     squeeze = SqueezeParams(r=r, phi=phi)
     coeffs = gauss_coeffs(params, squeeze, t, flip_b_sign=flip)
     # Width of the displaced Gaussian, straight from its exponent.
     from_wave = params.hbar * abs(coeffs.B) / (2.0 * coeffs.B.real)
     closed = uncertainty_product(params, 0, squeeze, t).product
-    measured = abs(from_wave - closed) / closed
-    return [
-        _entry(
-            check,
-            measured,
-            tol.coherent_uncertainty,
-            measured < tol.coherent_uncertainty,
-        )
-    ]
+    return abs(from_wave - closed) / closed
 
 
-def _run_time_avg_bound(params, check, tol, flip):
-    n, r, phi = check.args
-    squeeze = SqueezeParams(r=r, phi=phi)
-    avg = uncertainty_time_avg(params, int(n), squeeze).numeric
-    floor = 0.5 * params.hbar * sigma0(params) * (2 * int(n) + 1)
-    measured = avg - floor
-    if r == 0.0:
-        passed = abs(measured) <= tol.time_avg_slack
-    else:
-        passed = measured >= -tol.time_avg_slack
-    return [_entry(check, measured, tol.time_avg_slack, passed, expected=0.0)]
+def _time_avg_bound(params, flip, n, r, phi):
+    avg = uncertainty_time_avg(params, int(n), SqueezeParams(r=r, phi=phi)).numeric
+    return avg - 0.5 * params.hbar * sigma0(params) * (2 * int(n) + 1)
 
 
-def _run_time_avg_gap(params, check, tol, flip):
-    r, phi = check.args
+def _time_avg_gap(params, flip, r, phi):
     ta = uncertainty_time_avg(params, 0, SqueezeParams(r=r, phi=phi))
-    measured = ta.numeric - ta.closed_form
-    return [
-        _entry(
-            check,
-            measured,
-            math.inf,
-            True,
-            reason="gap between numeric average and compact form; recorded, not asserted",
-        )
-    ]
+    return (
+        ta.numeric - ta.closed_form,
+        "gap between numeric average and compact form; recorded, not asserted",
+    )
 
 
-_RUNNERS = {
-    "wronskian": _run_wronskian,
-    "normalization": _run_normalization,
-    "moments_product": _run_moments_product,
-    "energy_closed_form": _run_energy,
-    "residual": _run_residual,
-    "ladder_vacuum": _run_ladder_vacuum,
-    "ladder_step": _run_ladder_step,
-    "ladder_bogoliubov": _run_ladder_bogoliubov,
-    "cn_fidelity": _run_cn,
-    "sim_wave": _run_sim_wave,
-    "coherent_moments": _run_coherent_moments,
-    "coherent_uncertainty": _run_coherent_uncertainty,
-    "time_average_lower_bound": _run_time_avg_bound,
-    "time_average_closed_form_gap": _run_time_avg_gap,
+def _below(measured, tolerance, *args):
+    return measured < tolerance
+
+
+def _time_avg_passes(measured, tolerance, n, r, phi):
+    # At r = 0 the product is the constant floor itself; squeezing can
+    # only raise its period average.
+    if r == 0.0:
+        return abs(measured) <= tolerance
+    return measured >= -tolerance
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """How one check kind is measured and judged.
+
+    ``entries`` maps each report entry the kind writes to its tolerance: a
+    :class:`ToleranceConfig` field name, or a fixed number.  Each entry
+    passes when ``passes(measured, tolerance, *check args)`` holds, and
+    reports ``expected`` as the value its measurement is compared with.
+    """
+
+    measure: Callable
+    entries: dict
+    passes: Callable = _below
+    expected: float = 0.0
+
+
+_KINDS = {
+    "wronskian": _Kind(_wronskian, {"wronskian": "wronskian"}),
+    "normalization": _Kind(
+        _normalization, {"normalization": "normalization"}, expected=1.0
+    ),
+    "moments_product": _Kind(_moments_product, {"moments_product": "moments_rel"}),
+    "energy_closed_form": _Kind(_energy, {"energy_closed_form": "energy_rel"}),
+    "residual": _Kind(_residual, {"residual": "residual"}),
+    "ladder_vacuum": _Kind(_ladder_vacuum, {"ladder_vacuum": "ladder_vacuum"}),
+    "ladder_step": _Kind(_ladder_step, {"ladder_step": "ladder_step"}),
+    "ladder_bogoliubov": _Kind(_ladder_bogoliubov, {"ladder_bogoliubov": "bogoliubov"}),
+    "cn_fidelity": _Kind(
+        _cn, {"cn_fidelity": "cn_fidelity", "cn_norm_drift": "cn_norm_drift"}
+    ),
+    "sim_wave": _Kind(_sim_wave, {"sim_wave": "sim_wave"}),
+    "coherent_moments": _Kind(_coherent_moments, {"coherent_moments": "coherent_moment"}),
+    "coherent_uncertainty": _Kind(
+        _coherent_uncertainty, {"coherent_uncertainty": "coherent_uncertainty"}
+    ),
+    "time_average_lower_bound": _Kind(
+        _time_avg_bound,
+        {"time_average_lower_bound": "time_avg_slack"},
+        passes=_time_avg_passes,
+    ),
+    # Recorded, never asserted.
+    "time_average_closed_form_gap": _Kind(
+        _time_avg_gap,
+        {"time_average_closed_form_gap": math.inf},
+        passes=lambda *args: True,
+    ),
 }
 
 
@@ -1043,11 +971,14 @@ def validate(
 ) -> ValidationReport:
     """Run a verification schedule and assemble the deterministic report.
 
-    Failures are report entries, never exceptions: a check that raises is
-    recorded as failed with the exception text, and a parameter point
-    whose damping override leaves the underdamped regime is recorded as
-    skipped.  ``flip_b_sign`` is the negative control: it flips the sign
-    of the Gaussian width B in every evaluated state, which must blow up
+    Each check is measured by its kind's function and judged by its kind's
+    pass rule against the kind's tolerance; this is the one place report
+    entries are made.  Failures are report entries, never exceptions: a
+    check that raises writes a failed entry with the exception text for
+    every entry its kind reports, and ``sim_wave`` at gamma = 0, where
+    the special squeeze is undefined, is recorded as skipped.
+    ``flip_b_sign`` is the negative control: it flips the sign of the
+    Gaussian width B in every evaluated state, which must blow up
     normalizations and residuals and turn the report red.
     """
     tol = tolerances if tolerances is not None else ToleranceConfig()
@@ -1056,49 +987,36 @@ def validate(
     entries = []
     with np.errstate(over="ignore", invalid="ignore"):
         for check in schedule:
-            runner = _RUNNERS.get(check.name)
-            if runner is None:
+            kind = _KINDS.get(check.name)
+            if kind is None:
                 raise ValueError(f"unknown check name {check.name!r}")
+            limits = [
+                getattr(tol, limit) if isinstance(limit, str) else limit
+                for limit in kind.entries.values()
+            ]
             try:
-                pt_params = params
-                if check.gamma is not None:
-                    pt_params = make_params(
-                        params.m0, check.gamma, params.omega0, params.hbar
-                    )
-                entries.extend(runner(pt_params, check, tol, flip_b_sign))
-            except NotUnderdampedError as exc:
-                entries.append(
-                    ReportEntry(
-                        check_name=check.name,
-                        parameter_tuple=check.args,
-                        measured=math.nan,
-                        expected=0.0,
-                        tolerance=math.nan,
-                        passed=False,
-                        skipped=True,
-                        reason=str(exc),
-                    )
-                )
+                result = kind.measure(params, flip_b_sign, *check.args)
+            except _Skipped as exc:
+                outcomes = [(math.nan, limit, False, True, str(exc)) for limit in limits]
             except Exception as exc:
-                entries.append(
-                    ReportEntry(
-                        check_name=check.name,
-                        parameter_tuple=check.args,
-                        measured=math.nan,
-                        expected=0.0,
-                        tolerance=math.nan,
-                        passed=False,
-                        reason=f"{type(exc).__name__}: {exc}",
-                    )
-                )
+                reason = f"{type(exc).__name__}: {exc}"
+                outcomes = [(math.nan, math.nan, False, False, reason)] * len(limits)
+            else:
+                values = result if isinstance(result, tuple) else (result,)
+                reason = ""
+                if isinstance(values[-1], str):
+                    values, reason = values[:-1], values[-1]
+                outcomes = [
+                    (value, limit, kind.passes(value, limit, *check.args), False, reason)
+                    for value, limit in zip(values, limits)
+                ]
+            for name, (measured, limit, passed, skipped, reason) in zip(
+                kind.entries, outcomes
+            ):
+                entries.append(ReportEntry(
+                    name, check.args, measured, kind.expected, limit, passed, skipped, reason
+                ))
     entries.sort(key=lambda e: (e.check_name, tuple(str(v) for v in e.parameter_tuple)))
-    run_params = {
-        "m0": params.m0,
-        "gamma": params.gamma,
-        "omega0": params.omega0,
-        "hbar": params.hbar,
-        "omega": params.omega,
-    }
     return ValidationReport(
-        version=REPORT_VERSION, params=run_params, entries=tuple(entries)
+        version=REPORT_VERSION, params=asdict(params), entries=tuple(entries)
     )

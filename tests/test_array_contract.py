@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ckstates.modes import SqueezeParams, make_params, mode_u0, mode_u_rphi
+from ckstates.modes import SqueezeParams, make_params, mode_u0, mode_u_rphi, wronskian
 from ckstates.observables import hamiltonian_expectation, uncertainty_product
 from ckstates.states import coherent_trajectory
 
@@ -77,6 +77,8 @@ def test_array_call_equals_scalar_calls(gamma, r, phi, n, t0, span, alpha_re, al
         assert same_bits(whole.u, [m.u for m in one_by_one])
         assert same_bits(whole.udot, [m.udot for m in one_by_one])
         assert same_bits(whole.t, scalar_ts)
+        w = wronskian(params, whole)
+        assert same_bits(w, [wronskian(params, m) for m in one_by_one])
 
     rec = uncertainty_product(params, n, squeeze, ts)
     recs = [uncertainty_product(params, n, squeeze, t) for t in scalar_ts]

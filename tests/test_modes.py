@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ckstates.modes import (
     ModeValue,
     NotUnderdampedError,
-    PhysicalParams,
     SqueezeParams,
     WronskianError,
     make_params,
@@ -62,11 +61,6 @@ def test_make_params_rejects_overdamped():
         make_params(1.0, 2.0, 1.0, 1.0)
     with pytest.raises(NotUnderdampedError):
         make_params(1.0, 3.7, 1.0, 1.0)
-
-
-def test_params_record_rejects_inconsistent_omega():
-    with pytest.raises(ValueError):
-        PhysicalParams(m0=1.0, gamma=1.2, omega0=1.0, hbar=1.0, omega=0.9)
 
 
 def test_squeeze_params_wrap_and_validate():

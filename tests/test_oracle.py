@@ -23,6 +23,7 @@ from ckstates.oracle import (
     apply_creation,
     cn_cross_check,
     crank_nicolson_evolve,
+    default_schedule,
     make_grid,
     moments,
     schrodinger_residual,
@@ -447,14 +448,69 @@ def test_validate_small_green_schedule():
     assert report.version == REPORT_VERSION
 
 
-def test_validate_records_skip_for_overdamped_override():
-    schedule = (Check("wronskian", (0.0, 0.0, 0.1), gamma=2.3),)
-    report = validate(P_STAR, schedule=schedule)
-    entry = report.entries[0]
-    assert entry.skipped
-    assert not entry.passed
+# Where each entry kind takes its tolerance from, written out here rather
+# than read from the oracle; None is the fixed infinite tolerance of the
+# recorded, never asserted, closed-form gap.
+TOLERANCE_FIELD = {
+    "wronskian": "wronskian",
+    "normalization": "normalization",
+    "moments_product": "moments_rel",
+    "energy_closed_form": "energy_rel",
+    "residual": "residual",
+    "ladder_vacuum": "ladder_vacuum",
+    "ladder_step": "ladder_step",
+    "ladder_bogoliubov": "bogoliubov",
+    "cn_fidelity": "cn_fidelity",
+    "cn_norm_drift": "cn_norm_drift",
+    "sim_wave": "sim_wave",
+    "coherent_moments": "coherent_moment",
+    "coherent_uncertainty": "coherent_uncertainty",
+    "time_average_lower_bound": "time_avg_slack",
+    "time_average_closed_form_gap": None,
+}
+
+
+def test_validate_routes_each_tolerance_to_its_entries():
+    names = ToleranceConfig.field_names()
+    assert sorted(f for f in TOLERANCE_FIELD.values() if f) == sorted(names)
+    # A distinct value per field, so an entry judged by another field shows.
+    tolerances = ToleranceConfig().override(
+        **{name: (k + 1) * 1e-3 for k, name in enumerate(names)}
+    )
+    first = {}
+    for check in default_schedule(P_STAR):
+        first.setdefault(check.name, check)
+    report = validate(P_STAR, schedule=tuple(first.values()), tolerances=tolerances)
+    assert sorted(e.check_name for e in report.entries) == sorted(TOLERANCE_FIELD)
+    for e in report.entries:
+        field = TOLERANCE_FIELD[e.check_name]
+        expected = math.inf if field is None else getattr(tolerances, field)
+        assert e.tolerance == expected, e.check_name
+
+
+def test_validate_skips_sim_wave_without_damping():
+    undamped = make_params(1.0, 0.0, 1.0, 1.0)
+    report = validate(undamped, schedule=(Check("sim_wave", (1,)),))
+    (entry,) = report.entries
+    assert entry.skipped and not entry.passed
+    assert math.isnan(entry.measured)
+    assert entry.tolerance == 1e-9
+    assert entry.reason == "special squeeze is undefined for gamma = 0"
     assert report.all_passed  # skips are not failures
     assert report.summary["skipped"] == 1
+
+
+def test_validate_raising_check_fails_every_entry_of_its_kind():
+    # The flipped width leaks through the CN boundary at once; cn_fidelity
+    # reports two entries, so both must record the failure.
+    schedule = (Check("cn_fidelity", (0.5, 1.0, 4000)),)
+    report = validate(P_STAR, schedule=schedule, flip_b_sign=True)
+    assert [e.check_name for e in report.entries] == ["cn_fidelity", "cn_norm_drift"]
+    for e in report.entries:
+        assert not e.passed and not e.skipped
+        assert math.isnan(e.measured)
+        assert e.reason.startswith("BoundaryLeakError: probability mass")
+    assert report.summary == {"total": 2, "passed": 0, "failed": 2, "skipped": 0}
 
 
 def test_validate_rejects_unknown_check():
