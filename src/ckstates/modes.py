@@ -303,7 +303,10 @@ def squeeze_from_mode(params: PhysicalParams, mode: ModeValue) -> SqueezeParams:
     mu = -1j * weight * (mode.u * base.udot.conjugate() - mode.udot * base.u.conjugate())
     nu = -1j * weight * (base.u * mode.udot - mode.u * base.udot)
     r = math.asinh(abs(nu))
-    phi = (cmath.phase(nu) - cmath.phase(mu)) % TWO_PI if abs(nu) > 0.0 else 0.0
+    # atan2 rather than cmath.phase, which raises OverflowError on underflow.
+    arg_nu = math.atan2(nu.imag, nu.real)
+    arg_mu = math.atan2(mu.imag, mu.real)
+    phi = (arg_nu - arg_mu) % TWO_PI if abs(nu) > 0.0 else 0.0
     return SqueezeParams(r=r, phi=phi)
 
 

@@ -153,13 +153,15 @@ def gauss_coeffs(
     )
     if flip_b_sign:
         b_coeff = -b_coeff
+    # atan2 rather than cmath.phase: the latter raises OverflowError when the
+    # angle underflows to zero (a subnormal imaginary part, e.g. phi = 5e-324).
     if theta_mode == "principal":
-        theta = -cmath.phase(mode.u)
+        theta = -math.atan2(mode.u.imag, mode.u.real)
     elif theta_mode == "continuous":
         bracket = math.cosh(squeeze.r) + math.sinh(squeeze.r) * cmath.exp(
             1j * (2.0 * params.omega * t + squeeze.phi)
         )
-        theta = params.omega * t - cmath.phase(bracket)
+        theta = params.omega * t - math.atan2(bracket.imag, bracket.real)
     else:
         raise ValueError(f"unknown theta_mode {theta_mode!r}")
     return GaussCoeffs(A=a_coeff, B=b_coeff, theta=theta, t=t)

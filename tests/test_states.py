@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_hermite
 
@@ -57,6 +57,9 @@ def test_normalization_identity(gamma, r, phi, t):
 
 @given(gamma=gammas, r=radii, phi=phases, t=times)
 @settings(max_examples=80, deadline=None)
+# A subnormal phi makes the angle of u and of the bracket underflow to zero.
+@example(gamma=0.0, r=1.0, phi=5e-324, t=0.0)
+@example(gamma=0.0, r=1.5, phi=5e-324, t=0.0)
 def test_theta_branches_agree_mod_2pi(gamma, r, phi, t):
     params = make_params(1.0, gamma, 1.0, 1.0)
     sq = SqueezeParams(r=r, phi=phi)
