@@ -51,9 +51,8 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# Constructions are exact to rounding; externally supplied modes may carry
-# integration error, hence the looser acceptance tolerance.
-WRONSKIAN_CONSTRUCTION_TOL = 1e-12
+# Externally supplied modes may carry integration error, hence a tolerance
+# looser than rounding.
 WRONSKIAN_ACCEPT_TOL = 1e-8
 
 
@@ -289,16 +288,22 @@ def squeeze_from_mode(params: PhysicalParams, mode: ModeValue) -> SqueezeParams:
 
     Raises
     ------
+    ValueError
+        If the mode is not at one instant (an array ``mode.t``).
     WronskianError
         If the supplied mode violates |W - i| <= 1e-8.
     """
+    if np.ndim(mode.t):
+        raise ValueError(
+            f"squeeze_from_mode needs a mode at one instant, got t of shape {np.shape(mode.t)}"
+        )
     w = wronskian(params, mode)
     if abs(w - 1j) > WRONSKIAN_ACCEPT_TOL:
         raise WronskianError(
             f"mode violates the Wronskian normalization: |W - i| = {abs(w - 1j):.3e}"
         )
     base = mode_u0(params, mode.t)
-    weight = params.m0 * math.exp(params.gamma * mode.t)
+    weight = params.m0 * _envelope(params.gamma * mode.t)
     # Projections follow from the Wronskian orthogonality of (u0, u0*).
     mu = -1j * weight * (mode.u * base.udot.conjugate() - mode.udot * base.u.conjugate())
     nu = -1j * weight * (base.u * mode.udot - mode.u * base.udot)

@@ -7,7 +7,9 @@ a Richardson-extrapolated stencil, and time evolution from a
 Crank-Nicolson propagator with the compact 4th-order (Numerov) Laplacian,
 run in the coordinate Q = e^{gamma t/2} q that maps the Caldirola-Kanai
 equation exactly onto an undamped oscillator, on a grid sized from the
-packet's narrowest spread in that frame.
+packet's narrowest spread in that frame.  That oscillator's Hamiltonian
+is constant, so the Crank-Nicolson matrix is LU-factored once per
+propagation; LAPACK is imported only then.
 Agreement between these routes and the closed-form layer is what
 :func:`validate` certifies.
 
@@ -28,7 +30,6 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .modes import (
     PhysicalParams,
@@ -361,6 +362,17 @@ def schrodinger_residual(
     return float(residual / np.linalg.norm(hpsi))
 
 
+def solve_banded(factor: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve L x = rhs for one Crank-Nicolson step.
+
+    ``factor`` is LAPACK ``zgttrs`` followed by the LU factor of the
+    tridiagonal L from ``zgttrf``, as :func:`crank_nicolson_evolve`
+    computes it once per propagation.
+    """
+    gttrs, *lu = factor
+    return gttrs(*lu, rhs)[0]
+
+
 def crank_nicolson_evolve(
     params: PhysicalParams,
     psi0: np.ndarray,
@@ -369,25 +381,33 @@ def crank_nicolson_evolve(
     t1: float,
     n_steps: int,
 ) -> np.ndarray:
-    """Propagate samples from t0 to t1 with unitary Crank-Nicolson steps.
+    """Propagate samples from t0 to t1 with unitary Crank-Nicolson steps
+    under the time-independent Hamiltonian of undamped ``params``.
 
     The Laplacian is the compact 4th-order (Numerov) form M^{-1} D / dq^2
     with D = tridiag(1, -2, 1) and M = tridiag(1, 10, 1)/12, under
     Dirichlet-zero boundaries.  Multiplying both Crank-Nicolson sides by
-    M keeps them tridiagonal: L = M + (i dt/2)(-kin D/dq^2 + e^{gamma t} M V)
-    on the left and its complex conjugate on the right, since M, D and V
-    are real.  M and D commute, so the discrete Hamiltonian is real
-    symmetric and each step is exactly unitary.  It is evaluated at the
-    mid-step time t + dt/2, which keeps the scheme 2nd-order in time for
-    the exponential mass law.  Requires at least 1000 steps per period
-    pi/omega.
+    M keeps them tridiagonal: L = M + (i dt/2)(-kin D/dq^2 + M V) on the
+    left and its complex conjugate on the right, since M, D and V are
+    real.  M and D commute, so the discrete Hamiltonian is real symmetric
+    and each step is exactly unitary.  H is constant, so L is LU-factored
+    once (LAPACK ``zgttrf``) and each step is one :func:`solve_banded`.
+    Requires at least 1000 steps per period pi/omega.  Damped parameters
+    are refused: :func:`cn_cross_check` propagates in the undamped frame.
 
     Raises
     ------
+    ValueError
+        If ``params.gamma`` is not 0, t1 <= t0, or the steps are too few.
     BoundaryLeakError
         If probability mass within 5 points of either boundary exceeds
         1e-8 at any step.
     """
+    if params.gamma != 0.0:
+        raise ValueError(
+            f"crank_nicolson_evolve needs a time-independent Hamiltonian, gamma = 0; "
+            f"got gamma={params.gamma}"
+        )
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got t0={t0}, t1={t1}")
     period = math.pi / params.omega
@@ -400,36 +420,33 @@ def crank_nicolson_evolve(
     psi = np.asarray(psi0, dtype=complex).copy()
     if psi.shape != q.shape:
         raise ValueError(f"samples shape {psi.shape} does not match grid {q.shape}")
+    from scipy.linalg.lapack import zgttrf, zgttrs
+
     dt = (t1 - t0) / n_steps
     half = 0.5 * dt
-    # V/12 with V = m0 omega0^2 q^2 / (2 hbar), the potential profile of H/hbar.
+    # (dt/2) kin/dq^2 with the kinetic prefactor kin = hbar/(2 m0) of H/hbar,
+    # and V/12 with V = m0 omega0^2 q^2 / (2 hbar), its potential profile.
+    kin = half * params.hbar / (2.0 * params.m0 * grid.dq**2)
     pot12 = (params.m0 * params.omega0**2 / (24.0 * params.hbar)) * q * q
-    # Bands of L in solve_banded layout: rows 0 and 2 hold the off-diagonal
-    # entries of column j, both 1/12 + i (dt/2)(e^{gamma t} V_j/12 - kin/dq^2);
-    # row 1 holds the diagonal.  Only the imaginary parts change per step.
-    ab = np.empty((3, q.size), dtype=complex)
-    ab.real[0] = ab.real[2] = 1.0 / 12.0
-    ab.real[1] = 10.0 / 12.0
-    off, diag = ab.imag[0], ab.imag[1]
+    # Column j of L holds 1/12 + i (dt/2)(V_j/12 - kin/dq^2) off the
+    # diagonal and 10/12 + i (dt/2)(10 V_j/12 + 2 kin/dq^2) on it.
+    off_imag = pot12 * half - kin
+    off = 1.0 / 12.0 + 1j * off_imag
+    diag = 10.0 / 12.0 + 1j * (off_imag * 10.0 + 12.0 * kin)
+    *lu, info = zgttrf(off[:-1], diag, off[1:])
+    if info != 0:
+        raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
+    factor = (zgttrs, *lu)
+    # rhs = conj(L) psi
+    diag_conj, off_conj = diag.conjugate(), off.conjugate()
     rhs = np.empty_like(psi)
     side = np.empty_like(psi)
     for k in range(n_steps):
-        tm = t0 + (k + 0.5) * dt
-        # (dt/2) kin/dq^2 with the kinetic prefactor kin = hbar e^{-gamma t}/(2 m0)
-        kin = half * params.hbar * math.exp(-params.gamma * tm) / (
-            2.0 * params.m0 * grid.dq**2
-        )
-        np.multiply(pot12, half * math.exp(params.gamma * tm), out=off)
-        off -= kin
-        np.multiply(off, 10.0, out=diag)
-        diag += 12.0 * kin
-        ab.imag[2] = off
-        # rhs = conj(L) psi
-        np.multiply(ab[1].conjugate(), psi, out=rhs)
-        np.multiply(ab[0].conjugate(), psi, out=side)
+        np.multiply(diag_conj, psi, out=rhs)
+        np.multiply(off_conj, psi, out=side)
         rhs[:-1] += side[1:]
         rhs[1:] += side[:-1]
-        psi = solve_banded((1, 1), ab, rhs)
+        psi = solve_banded(factor, rhs)
         edge_mass = (
             float(np.sum(np.abs(psi[:5]) ** 2) + np.sum(np.abs(psi[-5:]) ** 2))
             * grid.dq

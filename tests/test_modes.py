@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,6 +121,12 @@ def test_squeeze_from_mode_rejects_denormalized_mode():
     bad = ModeValue(u=1.1 * mode.u, udot=1.1 * mode.udot, t=mode.t)
     with pytest.raises(WronskianError):
         squeeze_from_mode(P_STAR, bad)
+
+
+def test_squeeze_from_mode_refuses_array_mode():
+    mode = mode_u_rphi(P_STAR, SqueezeParams(0.5, 1.0), np.array([0.3, 1.0]))
+    with pytest.raises(ValueError, match="one instant"):
+        squeeze_from_mode(P_STAR, mode)
 
 
 def test_special_squeeze_values():

@@ -15,6 +15,7 @@ from ckstates.states import StateSpec, eval_coherent_state, eval_number_state, g
 from ckstates.oracle import (
     BoundaryLeakError,
     CN_MAX_POINTS,
+    CN_PERIODS,
     Check,
     GridSpec,
     REPORT_VERSION,
@@ -113,18 +114,27 @@ def test_simpson_rejects_even_sample_count():
         oracle_simpson(np.ones(1024), dx=0.1)
 
 
-def test_import_leaves_scipy_integrate_unloaded():
+def _loaded_in_fresh_process(imports: str, module: str) -> bool:
     import ckstates
 
     src = os.path.dirname(os.path.dirname(ckstates.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    code = "import sys, ckstates; print('scipy.integrate' in sys.modules)"
+    code = f"import sys, {imports}; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True, timeout=60,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    assert not _loaded_in_fresh_process("ckstates", "scipy.integrate")
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # Only the Crank-Nicolson propagation needs LAPACK; it imports it.
+    assert not _loaded_in_fresh_process("ckstates, ckstates.cli", "scipy.linalg")
 
 
 # ---------------------------------------------------------------- moments
@@ -286,10 +296,10 @@ def test_cn_round_trip_fidelity():
     period = math.pi / P_STAR.omega
     half = 1.2 * 10.0 * math.sqrt(0.625)
     grid = GridSpec(-half, half, 8193)
-    q = grid.points()
-    psi0 = eval_number_state(P_STAR, GROUND, 0.0, q)
-    evolved = crank_nicolson_evolve(P_STAR, psi0, grid, 0.0, period, 1000)
-    ref = eval_number_state(P_STAR, GROUND, period, q)
+    Q = grid.points()
+    psi0 = _in_frame(P_STAR, GROUND, 0.0, Q)
+    evolved = crank_nicolson_evolve(_frame_params(P_STAR), psi0, grid, 0.0, period, 1000)
+    ref = _in_frame(P_STAR, GROUND, period, Q)
     overlap = complex(simpson(ref.conjugate() * evolved, dx=grid.dq))
     assert abs(1.0 - abs(overlap) ** 2) < 1e-6
     drift = abs(
@@ -314,17 +324,19 @@ def test_cn_fourth_order_in_space():
     # The Numerov Laplacian has a 4th-order error, so the deficit (its
     # square) shrinks by about 256x when dq halves; a 3-point Laplacian
     # gives about 16x.  8000 steps put the time error well below both.
+    # The frame packet is resolved to that time floor on the cross-check
+    # grid, so the box is 4x as wide (observed ratio 262).
     squeeze = SqueezeParams(0.5, 1.0)
     spec = StateSpec.number(0, squeeze)
     period = math.pi / P_STAR.omega
     box = _cn_grid(P_STAR, squeeze)
     deficits = []
-    for n_points in (1025, 2049):
-        grid = GridSpec(box.q_min, box.q_max, n_points)
-        q = grid.points()
-        psi0 = eval_number_state(P_STAR, spec, 0.0, q)
-        evolved = crank_nicolson_evolve(P_STAR, psi0, grid, 0.0, period, 8000)
-        ref = eval_number_state(P_STAR, spec, period, q)
+    for n_points in (513, 1025):
+        grid = GridSpec(4.0 * box.q_min, 4.0 * box.q_max, n_points)
+        Q = grid.points()
+        psi0 = _in_frame(P_STAR, spec, 0.0, Q)
+        evolved = crank_nicolson_evolve(_frame_params(P_STAR), psi0, grid, 0.0, period, 8000)
+        ref = _in_frame(P_STAR, spec, period, Q)
         overlap = complex(simpson(ref.conjugate() * evolved, dx=grid.dq))
         deficits.append(abs(1.0 - abs(overlap) ** 2))
     assert deficits[0] / deficits[1] >= 64.0
@@ -395,18 +407,59 @@ def test_cn_raises_on_boundary_leak():
     # abort instead of silently reflecting probability.
     sigma = math.sqrt(0.625)
     grid = GridSpec(-3.0 * sigma, 3.0 * sigma, 513)
-    psi0 = eval_number_state(P_STAR, GROUND, 0.0, grid.points())
+    psi0 = _in_frame(P_STAR, GROUND, 0.0, grid.points())
     with pytest.raises(BoundaryLeakError):
-        crank_nicolson_evolve(P_STAR, psi0, grid, 0.0, 0.1, 40)
+        crank_nicolson_evolve(_frame_params(P_STAR), psi0, grid, 0.0, 0.1, 40)
 
 
 def test_cn_rejects_coarse_stepping():
+    params = _frame_params(P_STAR)
+    grid = GridSpec(-8.0, 8.0, 513)
+    psi0 = eval_number_state(params, GROUND, 0.0, grid.points())
+    with pytest.raises(ValueError, match="below 1000 per period"):
+        crank_nicolson_evolve(params, psi0, grid, 0.0, 0.5, 10)
+    with pytest.raises(ValueError, match="t1 > t0"):
+        crank_nicolson_evolve(params, psi0, grid, 0.5, 0.5, 100)
+
+
+def test_cn_refuses_damped_params():
+    # Only the undamped frame has the constant Hamiltonian that is factored once.
     grid = GridSpec(-8.0, 8.0, 513)
     psi0 = eval_number_state(P_STAR, GROUND, 0.0, grid.points())
-    with pytest.raises(ValueError):
-        crank_nicolson_evolve(P_STAR, psi0, grid, 0.0, 0.5, 10)
-    with pytest.raises(ValueError):
-        crank_nicolson_evolve(P_STAR, psi0, grid, 0.5, 0.5, 100)
+    with pytest.raises(ValueError, match="gamma"):
+        crank_nicolson_evolve(P_STAR, psi0, grid, 0.0, 0.5, 1000)
+
+
+def test_cn_equals_per_step_solve_banded_bit_for_bit():
+    # Reference: the bands of L written out and scipy's solve_banded, which
+    # refactors L at every step.  Factoring once must not move one bit.
+    from scipy.linalg import solve_banded
+
+    params = _frame_params(P_STAR)
+    squeeze = SqueezeParams(0.5, 1.0)
+    grid = _cn_grid(P_STAR, squeeze)
+    Q = grid.points()
+    t1 = CN_PERIODS * math.pi / params.omega
+    n_steps = 1370
+    phi0 = _in_frame(P_STAR, StateSpec.number(0, squeeze), 0.0, Q)
+    half = 0.5 * t1 / n_steps
+    kin = half * params.hbar / (2.0 * params.m0 * grid.dq**2)
+    pot12 = (params.m0 * params.omega0**2 / (24.0 * params.hbar)) * Q * Q
+    ab = np.empty((3, Q.size), dtype=complex)
+    ab.real[0] = ab.real[2] = 1.0 / 12.0
+    ab.real[1] = 10.0 / 12.0
+    ab.imag[0] = ab.imag[2] = pot12 * half - kin
+    ab.imag[1] = ab.imag[0] * 10.0 + 12.0 * kin
+    psi = phi0
+    for _ in range(n_steps):
+        rhs = ab[1].conjugate() * psi
+        side = ab[0].conjugate() * psi
+        rhs[:-1] += side[1:]
+        rhs[1:] += side[:-1]
+        psi = solve_banded((1, 1), ab, rhs)
+    evolved = crank_nicolson_evolve(params, phi0, grid, 0.0, t1, n_steps)
+    assert grid.n_points == 2049
+    assert evolved.tobytes() == psi.tobytes()
 
 
 # ---------------------------------------------------------------- tolerances
