@@ -5,8 +5,8 @@ closed-form layer (:mod:`ckstates.modes`, :mod:`ckstates.states`,
 :mod:`ckstates.observables`) built on complex mode functions of the
 classical damped equation of motion, and an independent numerical oracle
 (:mod:`ckstates.oracle`) that re-derives every claim from sampled wave
-functions by quadrature, finite differences, and Crank-Nicolson
-propagation.  :func:`ckstates.oracle.validate` cross-checks the two.
+functions by quadrature, spectral derivatives, time stencils and
+Crank-Nicolson propagation.  :func:`ckstates.oracle.validate` cross-checks the two.
 """
 
 from .modes import (

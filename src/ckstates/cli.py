@@ -362,18 +362,13 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser(
-        "uncertainty", parents=[common], help="uncertainty product over time"
-    )
-    sub.add_parser(
-        "wavefunction", parents=[common], help="wave function samples at t0"
-    )
-    sub.add_parser(
-        "trajectory", parents=[common], help="coherent phase-space trajectory"
-    )
-    sub.add_parser(
-        "hamiltonian", parents=[common], help="energy expectation over time"
-    )
+    for name, help_text in (
+        ("uncertainty", "uncertainty product over time"),
+        ("wavefunction", "wave function samples at t0"),
+        ("trajectory", "coherent phase-space trajectory"),
+        ("hamiltonian", "energy expectation over time"),
+    ):
+        sub.add_parser(name, parents=[common], help=help_text)
     val = sub.add_parser("validate", parents=[common], help="run the validation suite")
     val.add_argument("--flip-b-sign", action="store_true", help=argparse.SUPPRESS)
     return parser

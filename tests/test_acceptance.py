@@ -8,6 +8,7 @@ gamma/(2 omega0), else (hbar/2) sigma0 (cosh 2r - (gamma/2 omega0) sinh 2r)
 states dip below it, and the gate confirms the dip by quadrature.
 """
 
+import cmath
 import json
 import math
 import time
@@ -18,11 +19,13 @@ from scipy.integrate import simpson
 
 from ckstates.cli import main as cli_main
 from ckstates.modes import (
+    ModeValue,
     PhysicalParams,
     SqueezeParams,
     make_params,
     mode_u_rphi,
     special_squeeze,
+    squeeze_from_mode,
     wronskian,
 )
 from ckstates.observables import (
@@ -416,3 +419,41 @@ def test_12_flipped_width_negative_control(tmp_path, capsys):
         f"{payload['summary']['failed']} failed checks"
     )
     assert _verdict("flipped-width negative control", ok, detail), detail
+
+
+def test_13_general_gaussian_is_squeezed_state():
+    # The paper's second claim: every normalizable symmetric Gaussian
+    # e^{-B q^2} (Re B > 0) at a time t is a squeezed ground state.  The
+    # mode it implies has A^2 = 2 Re B, so |u| = 1/(A sqrt(2 hbar)), and
+    # u'*/u* = 2 i hbar B/(m0 e^{gamma t}); the phase of u is free and
+    # becomes the state's global phase.  squeeze_from_mode recovers (r, phi)
+    # and the squeezed ground state must be the normalized Gaussian.
+    rng = np.random.default_rng(RNG_SEED)
+    worst_gap = 0.0
+    worst_modulus = 0.0
+    for gamma in LATTICE_GAMMAS:
+        params = make_params(1.0, gamma, 1.0, 1.0)
+        for _ in range(25):
+            b = complex(rng.uniform(0.1, 3.0), rng.uniform(-3.0, 3.0))
+            t = float(rng.uniform(0.0, 3.0))
+            arg_u = float(rng.uniform(0.0, 2.0 * math.pi))
+            a = math.sqrt(2.0 * b.real)
+            u = cmath.exp(1j * arg_u) / (a * math.sqrt(2.0 * params.hbar))
+            ratio = 2j * params.hbar * b / (params.m0 * math.exp(params.gamma * t))
+            udot = (u.conjugate() * ratio).conjugate()
+            squeeze = squeeze_from_mode(params, ModeValue(u=u, udot=udot, t=t))
+            sigma = 1.0 / (a * math.sqrt(2.0))
+            q = np.linspace(-10.0 * sigma, 10.0 * sigma, 2049)
+            psi = eval_number_state(params, StateSpec.number(0, squeeze), t, q)
+            gaussian = (a / math.sqrt(math.pi)) ** 0.5 * np.exp(-b * q * q)
+            phase = psi[1024] / gaussian[1024]
+            worst_modulus = max(worst_modulus, abs(abs(phase) - 1.0))
+            gap = np.max(np.abs(psi - phase * gaussian)) / np.max(np.abs(gaussian))
+            worst_gap = max(worst_gap, float(gap))
+    ok = worst_gap < 1e-11 and worst_modulus < 1e-12
+    detail = (
+        f"max pointwise gap to e^(-B q^2) up to a global phase = {worst_gap:.3e} "
+        f"(tol 1e-11), max ||phase| - 1| = {worst_modulus:.1e} (tol 1e-12) "
+        f"over 100 drawn widths"
+    )
+    assert _verdict("general Gaussian is a squeezed state", ok, detail), detail

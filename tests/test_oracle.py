@@ -5,15 +5,18 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
 from ckstates.modes import SqueezeParams, make_params
+from ckstates.observables import uncertainty_product
 from ckstates.states import StateSpec, eval_coherent_state, eval_number_state, gauss_coeffs
 from ckstates.oracle import (
     BoundaryLeakError,
+    CHECK_MAX_POINTS,
     CN_MAX_POINTS,
     CN_PERIODS,
     Check,
@@ -30,7 +33,9 @@ from ckstates.oracle import (
     schrodinger_residual,
     validate,
     _apply_hamiltonian,
+    _check_grid,
     _cn_grid,
+    _derivative,
     _frame_params,
     _in_frame,
     _l2,
@@ -172,21 +177,86 @@ def test_moments_rejects_shape_mismatch():
         moments(P_STAR, np.zeros(7, dtype=complex), grid, t=0.0)
 
 
-def test_moments_quadrature_order():
-    # Composite Simpson plus 4th-order stencils: doubling the point count
-    # must shrink the uncertainty-product error by at least 14x.
-    spec = StateSpec.number(4, SqueezeParams(1.5, 0.0))
-    errors = []
-    for n_points in (8193, 16385):
-        grid = make_grid(P_STAR, spec, 0.3, n_points=n_points)
-        psi = eval_number_state(P_STAR, spec, 0.3, grid.points())
-        m = moments(P_STAR, psi, grid, t=0.3)
-        from ckstates.observables import uncertainty_product
+# gamma/(2 omega0) = 0.941: a strongly damped benchmark draw (validate seed
+# 502, op 12) at which squeezed states carry a steep chirp.
+P_DAMPED = make_params(
+    m0=0.6945205150677389, gamma=2.7799318047529864,
+    omega0=1.4773283036070404, hbar=1.7976068005949424,
+)
 
-        exact = uncertainty_product(P_STAR, 4, SqueezeParams(1.5, 0.0), 0.3).product
+
+def test_spectral_derivative_of_chirped_displaced_gaussian():
+    # f = e^{-B (q - q0)^2 + i p0 q}: f' = w f and f'' = (w^2 - 2B) f with
+    # w = -2B (q - q0) + i p0.  The box reaches e^{-40} of the peak; 1025
+    # points put the Nyquist wavenumber above the chirp's largest local
+    # wavenumber plus ten momentum spreads (911 points needed).  513 points
+    # leave that band under-resolved.
+    b, q0, p0 = 0.3 - 5.0j, 0.7, 3.0
+    half = math.sqrt(40.0 / b.real)
+    errors = {}
+    for n_points in (513, 1025):
+        grid = GridSpec(q0 - half, q0 + half, n_points)
+        q = grid.points()
+        f = np.exp(-b * (q - q0) ** 2 + 1j * p0 * q)
+        w = -2.0 * b * (q - q0) + 1j * p0
+        for order, exact in ((1, w * f), (2, (w * w - 2.0 * b) * f)):
+            gap = np.max(np.abs(_derivative(f, grid.dq, order) - exact))
+            errors[n_points, order] = gap / np.max(np.abs(exact))
+    assert errors[1025, 1] <= 1e-12
+    assert errors[1025, 2] <= 1e-12
+    assert errors[513, 1] > 1e-7 and errors[513, 2] > 1e-7
+
+
+def test_moments_converge_spectrally():
+    # Uncertainty-product error of a strongly chirped state on the rule's
+    # grid and on 1/2 and 1/4 of its points.  The rule puts the Nyquist
+    # wavenumber ten momentum spreads out, and the moments' error is
+    # quadratic in the spectrum beyond it, so half the points still sit at
+    # rounding; the next halving raises the error by >= 1e3 at once, where
+    # a 4th-order stencil would raise it by 16.
+    squeeze = SqueezeParams(1.5, 1.0)
+    spec = StateSpec.number(2, squeeze)
+    exact = uncertainty_product(P_DAMPED, 2, squeeze, 0.3).product
+    rule = _check_grid(P_DAMPED, spec, 0.3)
+    errors = []
+    for n_points in (rule.n_points, rule.n_points // 2 + 1, rule.n_points // 4 + 1):
+        grid = replace(rule, n_points=n_points)
+        psi = eval_number_state(P_DAMPED, spec, 0.3, grid.points())
+        m = moments(P_DAMPED, psi, grid, t=0.3)
         product = math.sqrt(m.q2 - m.q_mean**2) * math.sqrt(m.p2 - m.p_mean**2)
-        errors.append(abs(product - exact))
-    assert errors[0] / errors[1] > 14.0
+        errors.append(abs(product - exact) / exact)
+    assert rule.n_points == 8193
+    assert errors[0] <= 1e-12 and errors[1] <= 1e-12
+    assert errors[2] >= 1e3 * max(errors[0], errors[1])
+
+
+def test_check_grid_resolves_chirp_and_covers_ten_spreads():
+    # Over the default schedule's 36 moments_product points at three
+    # dampings: the Nyquist wavenumber pi/dq covers the chirp's local
+    # wavenumber at the box edge plus ten momentum spreads, and the box
+    # reaches ten position spreads on either side.
+    for ratio in (0.0, 0.6, 0.975):
+        params = make_params(1.0, 2.0 * ratio, 1.0, 1.0)
+        points = [c.args for c in default_schedule(params) if c.name == "moments_product"]
+        assert len(points) == 36
+        for n, r, phi, t in points:
+            spec = StateSpec.number(n, SqueezeParams(r, phi))
+            grid = _check_grid(params, spec, t)
+            coeffs = gauss_coeffs(params, spec.squeeze, t)
+            sigma = math.sqrt(2 * n + 1) / (coeffs.A * math.sqrt(2.0))
+            half = 0.5 * (grid.q_max - grid.q_min)
+            # A number state's momentum spread (of |psi|, without the
+            # chirp) is (n + 1/2)/sigma.
+            k_max = 2.0 * abs(coeffs.B.imag) * half + 10.0 * (n + 0.5) / sigma
+            assert k_max * grid.dq <= math.pi
+            assert grid.q_min <= -10.0 * sigma and grid.q_max >= 10.0 * sigma
+            assert grid.n_points <= CHECK_MAX_POINTS
+
+
+def test_check_grid_point_count_is_capped():
+    params = make_params(1.0, 2.0 * 0.99999, 1.0, 1.0)
+    spec = StateSpec.number(4, SqueezeParams(1.5, 1.0))
+    assert _check_grid(params, spec, 0.3).n_points == CHECK_MAX_POINTS
 
 
 # ---------------------------------------------------------------- ladder operators
@@ -501,6 +571,27 @@ def test_validate_small_green_schedule():
     assert report.version == REPORT_VERSION
 
 
+# gamma/(2 omega0) = 0.975: a strongly damped benchmark draw (validate seed
+# 503, op 13).
+P_DAMPED_975 = make_params(
+    m0=0.8165545768528125, gamma=2.0823284482561224,
+    omega0=1.0681611180438588, hbar=0.5647343601964355,
+)
+
+
+@pytest.mark.parametrize("params", [P_DAMPED_975, P_DAMPED], ids=["0.975", "0.941"])
+def test_validate_derivative_checks_pass_at_strong_damping(params):
+    # Squeezed states chirp steeply here; a grid sized from |psi| alone
+    # leaves the chirp unresolved and these entries over their tolerances.
+    schedule = tuple(
+        c for c in default_schedule(params)
+        if c.name in ("moments_product", "ladder_step")
+        or (c.name == "residual" and c.args[0] == "number")
+    )
+    report = validate(params, schedule=schedule)
+    assert report.summary == {"total": 43, "passed": 43, "failed": 0, "skipped": 0}
+
+
 # Where each entry kind takes its tolerance from, written out here rather
 # than read from the oracle; None is the fixed infinite tolerance of the
 # recorded, never asserted, closed-form gap.
@@ -539,6 +630,8 @@ def test_validate_routes_each_tolerance_to_its_entries():
         field = TOLERANCE_FIELD[e.check_name]
         expected = math.inf if field is None else getattr(tolerances, field)
         assert e.tolerance == expected, e.check_name
+        # Every kind measures a deviation or a gap from 0.
+        assert e.expected == 0.0, e.check_name
 
 
 def test_validate_skips_sim_wave_without_damping():
