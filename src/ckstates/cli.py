@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -247,17 +247,21 @@ def _coherent_energy(params, squeeze, cfg: RunConfig, t: np.ndarray):
     """Path (q_c, p_c) of the coherent state through (qc, pc) at t0, and its
     energy: the classical energy plus the ground-state fluctuation energy.
 
-    Squares go through libm pow, as Python's ``x**2`` on a float does.
+    H(t0 + dt) with mass m0 is H(dt) with mass m = m0 e^{gamma t0}: the path
+    starts at dt = 0 with mass m, on the zero-squeezing mode (real there; the
+    path does not depend on r).  With s = e^{gamma dt/2} the classical energy
+    is ((p_c / (sqrt(m) s))^2 + (omega0 sqrt(m) s q_c)^2) / 2; squares go
+    through libm pow, as Python's ``x**2`` on a float does.
     """
-    alpha = alpha_from_point(params, squeeze, cfg.qc or 0.0, cfg.pc or 0.0, cfg.t0)
-    q_c, p_c = coherent_trajectory(params, squeeze, alpha, t)
+    shifted = replace(params, m0=params.m0 * _envelope(params.gamma * cfg.t0))
+    unsqueezed = SqueezeParams(r=0.0, phi=0.0)
+    alpha = alpha_from_point(shifted, unsqueezed, cfg.qc or 0.0, cfg.pc or 0.0, 0.0)
+    dt = t - cfg.t0
+    q_c, p_c = coherent_trajectory(shifted, unsqueezed, alpha, dt)
+    scale = math.sqrt(shifted.m0) * _envelope(0.5 * params.gamma * dt)
     energy = (
-        _envelope(-params.gamma * t) * _elementwise(_square, p_c) / (2.0 * params.m0)
-        + 0.5
-        * params.m0
-        * params.omega0**2
-        * _envelope(params.gamma * t)
-        * _elementwise(_square, q_c)
+        0.5 * _elementwise(_square, p_c / scale)
+        + 0.5 * _elementwise(_square, params.omega0 * scale * q_c)
         + hamiltonian_expectation(params, 0, squeeze, t)
     )
     return q_c, p_c, energy
@@ -382,13 +386,15 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         cfg = _resolve_config(args)
-        return _COMMANDS[args.command](cfg)
+        # A float leaving the double range raises instead of printing inf or nan.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _COMMANDS[args.command](cfg)
     except ValueError as exc:
         # UsageError and NotUnderdampedError are ValueErrors too.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
-        # e.g. OverflowError from e^{gamma t} far outside the period.
+    except (ArithmeticError, MemoryError) as exc:
+        # e.g. s = e^{gamma t/2} out of range, or a table too large to allocate.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -12,10 +12,12 @@ equation, normalized by the Wronskian condition
     m0 e^{gamma t} (u u'* - u* u') = i,
 
 generates time-invariant canonical ladder operators and through them the
-exact Gaussian states evaluated in :mod:`ckstates.states`.  This module
-provides the parameter record, the damped-envelope solution ``u0``, its
-two-parameter squeezed family ``u_{r phi}``, and the maps between mode
-values and squeeze parameters.
+exact Gaussian states evaluated in :mod:`ckstates.states`.  Modes are
+stored in the undamped frame, v = e^{gamma t/2} u and w = e^{gamma t/2} u',
+O(1) at every t; there the Wronskian reads m0 (v w* - v* w) = i and the
+damping enters only through the scale s = e^{gamma t/2}.  This module
+provides the parameter record, the zero-squeezing mode ``u0``, its
+squeezed family ``u_{r phi}``, and the maps between modes and squeezes.
 
 Only the underdamped regime (gamma < 2 omega0) is supported.
 
@@ -148,17 +150,17 @@ class SqueezeParams:
 
 @dataclass(frozen=True)
 class ModeValue:
-    """A mode function and its time derivative at one instant or at an
-    array of instants.
+    """A mode u and its derivative u' in the undamped frame, v = e^{gamma t/2} u
+    and w = e^{gamma t/2} u', at one instant or at an array of instants.
 
-    ``u`` has units 1/sqrt(mass * frequency) so that the Wronskian
-    m0 e^{gamma t} (u u'* - u* u') is exactly i for admissible modes.
-    The fields are complex numbers and a float ``t``, or complex arrays
-    and a float array ``t`` of one shape.
+    ``v`` has units 1/sqrt(mass * frequency) so that the Wronskian
+    m0 (v w* - v* w) is exactly i for admissible modes.  The fields are
+    complex numbers and a float ``t``, or complex arrays and a float
+    array ``t`` of one shape.
     """
 
-    u: complex | np.ndarray
-    udot: complex | np.ndarray
+    v: complex | np.ndarray
+    w: complex | np.ndarray
     t: float | np.ndarray
 
 
@@ -180,9 +182,9 @@ def _envelope(x):
     """e^x of a float or an ndarray by libm exp, as ``math.exp`` gives it.
 
     Raises OverflowError above the double range, like ``math.exp``, and
-    ArithmeticError below the smallest normal double, where a damping
-    envelope e^{gamma t} has lost its precision or vanished and the
-    closed forms it scales would print wrong numbers.
+    ArithmeticError below the smallest normal double, where the scale
+    s = e^{gamma t/2} has lost its precision or vanished and the closed
+    forms it scales would print wrong numbers.
     """
     y = _elementwise(math.exp, x)
     low = y.min() if isinstance(y, np.ndarray) else y
@@ -236,18 +238,18 @@ def make_params(m0: float, gamma: float, omega0: float, hbar: float) -> Physical
 
 
 def mode_u0(params: PhysicalParams, t: float | np.ndarray) -> ModeValue:
-    """Zero-squeezing mode u0(t) = e^{-gamma t/2} e^{-i omega t} / sqrt(2 m0 omega).
+    """Zero-squeezing mode u0 = e^{-gamma t/2} v0, v0 = e^{-i omega t} / sqrt(2 m0 omega).
 
     ``t`` is a float or an ndarray.  The prefactor enforces the Wronskian
     normalization exactly.
     """
     t = _as_time(t)
-    amp = _envelope(-params.gamma * t / 2.0) / math.sqrt(2.0 * params.m0 * params.omega)
+    amp = 1.0 / math.sqrt(2.0 * params.m0 * params.omega)
     # cmath.exp(-1j * omega * t) forms its argument as 0.0 + i (0.0 + -omega t).
     phase = 0.0 + -params.omega * t
     re, im = _cmul(amp, 0.0, _cos(phase), _sin(phase))
     dre, dim = _cmul(-params.gamma / 2.0, -params.omega, re, im)
-    return ModeValue(u=_complex(re, im), udot=_complex(dre, dim), t=t)
+    return ModeValue(v=_complex(re, im), w=_complex(dre, dim), t=t)
 
 
 def mode_u_rphi(
@@ -262,20 +264,19 @@ def mode_u_rphi(
     mu = math.cosh(squeeze.r)
     nu = cmath.exp(1j * squeeze.phi) * math.sinh(squeeze.r)
     return ModeValue(
-        u=_bogoliubov(mu, nu, base.u), udot=_bogoliubov(mu, nu, base.udot), t=base.t
+        v=_bogoliubov(mu, nu, base.v), w=_bogoliubov(mu, nu, base.w), t=base.t
     )
 
 
 def wronskian(params: PhysicalParams, mode: ModeValue) -> complex:
-    """Wronskian m0 e^{gamma t} (u u'* - u* u'); equals i for admissible modes.
+    """Wronskian m0 (v w* - v* w) = m0 e^{gamma t} (u u'* - u* u'); i if admissible.
 
     A complex for a float ``mode.t``, a complex array for an array one.
     """
-    u, udot = mode.u, mode.udot
-    weight = params.m0 * _envelope(params.gamma * mode.t)
-    a_re, a_im = _cmul(u.real, u.imag, udot.real, -udot.imag)
-    b_re, b_im = _cmul(u.real, -u.imag, udot.real, udot.imag)
-    return _complex(*_cmul(weight, 0.0, a_re - b_re, a_im - b_im))
+    v, w = mode.v, mode.w
+    a_re, a_im = _cmul(v.real, v.imag, w.real, -w.imag)
+    b_re, b_im = _cmul(v.real, -v.imag, w.real, w.imag)
+    return _complex(*_cmul(params.m0, 0.0, a_re - b_re, a_im - b_im))
 
 
 def squeeze_from_mode(params: PhysicalParams, mode: ModeValue) -> SqueezeParams:
@@ -303,10 +304,9 @@ def squeeze_from_mode(params: PhysicalParams, mode: ModeValue) -> SqueezeParams:
             f"mode violates the Wronskian normalization: |W - i| = {abs(w - 1j):.3e}"
         )
     base = mode_u0(params, mode.t)
-    weight = params.m0 * _envelope(params.gamma * mode.t)
-    # Projections follow from the Wronskian orthogonality of (u0, u0*).
-    mu = -1j * weight * (mode.u * base.udot.conjugate() - mode.udot * base.u.conjugate())
-    nu = -1j * weight * (base.u * mode.udot - mode.u * base.udot)
+    # Projections follow from the Wronskian orthogonality of (v0, v0*).
+    mu = -1j * params.m0 * (mode.v * base.w.conjugate() - mode.w * base.v.conjugate())
+    nu = -1j * params.m0 * (base.v * mode.w - mode.v * base.w)
     r = math.asinh(abs(nu))
     # atan2 rather than cmath.phase, which raises OverflowError on underflow.
     arg_nu = math.atan2(nu.imag, nu.real)

@@ -1,11 +1,12 @@
 """Closed-form observables of the Gaussian state families.
 
-All expressions follow from the second moments of the exact states,
+All expressions follow from the second moments of the exact states, in
+the frame mode (v, w) of u_{r phi} and s = e^{gamma t/2} (:mod:`ckstates.modes`),
 
-    <q^2> = hbar |u_{r phi}|^2 (2n + 1),
-    <p^2> = hbar m0^2 e^{2 gamma t} |u'_{r phi}|^2 (2n + 1),
+    <q^2> = hbar |v|^2 (2n + 1) / s^2,
+    <p^2> = hbar m0^2 |w|^2 (2n + 1) s^2,
 
-which give the uncertainty product
+which give the uncertainty product hbar m0 |v| |w| (2n + 1), free of s:
 
     dq dp = (hbar/2) sec(theta_gamma/2)
             sqrt([cosh 2r + sinh 2r cos(2 omega t + phi)]
@@ -133,14 +134,9 @@ def sigma0(params: PhysicalParams) -> float:
     return direct
 
 
-def _bracket_product(
-    params: PhysicalParams, squeeze: SqueezeParams, t
-) -> np.ndarray | float:
-    """Product of the two modulation brackets entering dq dp; 1 at r = 0."""
-    angle = theta_gamma(params).theta
-    arg = 2.0 * params.omega * np.asarray(t, dtype=float) + squeeze.phi
-    c2, s2 = math.cosh(2.0 * squeeze.r), math.sinh(2.0 * squeeze.r)
-    return (c2 + s2 * np.cos(arg)) * (c2 - s2 * np.cos(arg + angle))
+def _product(params: PhysicalParams, n: int, mode):
+    """dq dp = hbar m0 |v| |w| (2n + 1) of the n-th state on ``mode``."""
+    return params.hbar * (2 * n + 1) * params.m0 * _modulus(mode.v) * _modulus(mode.w)
 
 
 def uncertainty_product(
@@ -148,24 +144,26 @@ def uncertainty_product(
 ) -> UncertaintyRecord:
     """Uncertainties dq, dp and their product for the n-th squeezed state.
 
-    ``t`` is a float or an ndarray.  dq and dp are taken from the mode
-    moduli; their product equals the bracket closed form quoted in the
-    module docstring to rounding.
+    ``t`` is a float or an ndarray.  dq and dp are the mode moduli scaled by
+    s^{-1} and s; the product, from the moduli alone, equals the bracket
+    closed form quoted in the module docstring to rounding.
 
     Raises
     ------
     ArithmeticError
-        If the envelope e^{gamma t} overflows (OverflowError) or falls
-        below the smallest normal double.
+        If s overflows (OverflowError) or falls below the smallest normal
+        double.
     """
     if not (0 <= n <= MAX_N):
         raise ValueError(f"number index must be in [0, {MAX_N}], got {n}")
     mode = mode_u_rphi(params, squeeze, t)
+    s = _envelope(0.5 * params.gamma * mode.t)
     scale = math.sqrt(params.hbar * (2 * n + 1))
-    dq = scale * _modulus(mode.u)
-    dp = scale * params.m0 * _envelope(params.gamma * mode.t) * _modulus(mode.udot)
+    dq = scale * _modulus(mode.v) / s
+    dp = scale * params.m0 * _modulus(mode.w) * s
     bound = 0.5 * params.hbar * sigma0(params) * (2 * n + 1)
-    return UncertaintyRecord(dq=dq, dp=dp, product=dq * dp, bound=bound, t=mode.t)
+    product = _product(params, n, mode)
+    return UncertaintyRecord(dq=dq, dp=dp, product=product, bound=bound, t=mode.t)
 
 
 def uncertainty_time_avg(
@@ -173,10 +171,10 @@ def uncertainty_time_avg(
 ) -> TimeAverage:
     """Average the uncertainty product over one period T = pi/omega.
 
-    The product depends on time only through 2 omega t + phi (the damping
-    envelopes of dq and dp cancel in the product), so T = pi/omega is its
-    exact period.  The trapezoid rule with at least 2049 samples resolves
-    the square-root integrand far below the comparison tolerances.
+    The product hbar m0 |v| |w| (2n + 1) depends on time only through
+    2 omega t + phi, so T = pi/omega is its exact period.  The trapezoid
+    rule with at least 2049 samples resolves the integrand far below the
+    comparison tolerances.
     """
     if not (0 <= n <= MAX_N):
         raise ValueError(f"number index must be in [0, {MAX_N}], got {n}")
@@ -184,13 +182,12 @@ def uncertainty_time_avg(
         raise ValueError(f"need at least 2049 samples, got {n_samples}")
     period = math.pi / params.omega
     ts = np.linspace(0.0, period, n_samples)
-    prefactor = 0.5 * params.hbar * sigma0(params) * (2 * n + 1)
-    values = prefactor * np.sqrt(_bracket_product(params, squeeze, ts))
+    values = _product(params, n, mode_u_rphi(params, squeeze, ts))
     numeric = float(np.trapezoid(values, ts) / period)
     closed_form = None
     if n == 0:
         angle = theta_gamma(params).theta
-        closed_form = prefactor * (
+        closed_form = 0.5 * params.hbar * sigma0(params) * (
             math.cosh(squeeze.r) ** 2
             - 0.5 * math.cos(angle) * math.sinh(squeeze.r) ** 2
         )

@@ -32,7 +32,6 @@ import numpy as np
 from .modes import (
     PhysicalParams,
     SqueezeParams,
-    _envelope,
     _modulus,
     make_params,
     mode_u_rphi,
@@ -277,17 +276,17 @@ def apply_annihilation(
 ) -> np.ndarray:
     """Apply the invariant lowering operator to sampled psi.
 
-    a_{r phi} = (i/sqrt(hbar)) [u*_{r phi} (-i hbar d/dq)
-                                - m0 e^{gamma t} u'*_{r phi} q],
-    with the spectral derivative.  The operator is a constant of
-    motion, so a_{r phi} psi_n = sqrt(n) psi_{n-1} at every time.
+    a_{r phi} = (i/sqrt(hbar)) [(v*/s) (-i hbar d/dq) - m0 s w* q],
+    with the frame mode (v, w) of u_{r phi}, s = e^{gamma t/2} and the
+    spectral derivative.  The operator is a constant of motion, so
+    a_{r phi} psi_n = sqrt(n) psi_{n-1} at every time.
     """
     mode = mode_u_rphi(params, squeeze, t)
     q = grid.points()
-    weight = params.m0 * math.exp(params.gamma * t)
+    s = math.exp(0.5 * params.gamma * t)
     pterm = -1j * params.hbar * _derivative(psi, grid.dq, 1)
     return (1j / math.sqrt(params.hbar)) * (
-        mode.u.conjugate() * pterm - weight * mode.udot.conjugate() * q * psi
+        (mode.v.conjugate() / s) * pterm - params.m0 * s * mode.w.conjugate() * q * psi
     )
 
 
@@ -302,10 +301,10 @@ def apply_creation(
     :func:`apply_annihilation`."""
     mode = mode_u_rphi(params, squeeze, t)
     q = grid.points()
-    weight = params.m0 * math.exp(params.gamma * t)
+    s = math.exp(0.5 * params.gamma * t)
     pterm = -1j * params.hbar * _derivative(psi, grid.dq, 1)
     return (-1j / math.sqrt(params.hbar)) * (
-        mode.u * pterm - weight * mode.udot * q * psi
+        (mode.v / s) * pterm - params.m0 * s * mode.w * q * psi
     )
 
 
@@ -329,7 +328,8 @@ def schrodinger_residual(
     """Relative residual ||i hbar dpsi/dt - H psi||_2 / ||H psi||_2.
 
     The time derivative uses a 4th-order central stencil at step
-    1e-4/omega, Richardson-extrapolated once; the continuous phase branch
+    1e-4 hbar ||psi|| / ||H psi|| (the state's own time scale),
+    Richardson-extrapolated once; the continuous phase branch
     keeps all stencil samples on one sheet.  For coherent specs the
     displacement is anchored at time t through its invariant eigenvalue
     and moved along the classical trajectory for the stencil samples, so
@@ -362,9 +362,10 @@ def schrodinger_residual(
             - psi_at(t + 2.0 * h)
         ) / (12.0 * h)
 
-    delta = 1e-4 / params.omega
+    psi = psi_at(t)
+    hpsi = _apply_hamiltonian(params, psi, grid, t)
+    delta = float(1e-4 * params.hbar * np.linalg.norm(psi) / np.linalg.norm(hpsi))
     dpsi_dt = (16.0 * d4(delta / 2.0) - d4(delta)) / 15.0
-    hpsi = _apply_hamiltonian(params, psi_at(t), grid, t)
     residual = np.linalg.norm(1j * params.hbar * dpsi_dt - hpsi)
     return float(residual / np.linalg.norm(hpsi))
 
@@ -468,14 +469,10 @@ def crank_nicolson_evolve(
 
 def _cn_grid(params: PhysicalParams, squeeze: SqueezeParams) -> GridSpec:
     """Grid of :func:`cn_cross_check` in the frame coordinate
-    Q = e^{gamma t/2} q, from the frame spreads e^{gamma t/2} sqrt(hbar)|u(t)|
-    at 257 instants of one period (see ``CN_POINTS_PER_SPREAD``)."""
+    Q = e^{gamma t/2} q, from the frame spreads sqrt(hbar)|v(t)| at 257
+    instants of one period (see ``CN_POINTS_PER_SPREAD``)."""
     ts = np.linspace(0.0, math.pi / params.omega, 257)
-    spreads = (
-        _envelope(0.5 * params.gamma * ts)
-        * math.sqrt(params.hbar)
-        * _modulus(mode_u_rphi(params, squeeze, ts).u)
-    )
+    spreads = math.sqrt(params.hbar) * _modulus(mode_u_rphi(params, squeeze, ts).v)
     widest = float(spreads.max())
     n_points = min(
         CN_MAX_POINTS,
@@ -840,8 +837,8 @@ def _coherent_moments(params, flip, alpha_re, alpha_im, r, phi, t):
 def _coherent_uncertainty(params, flip, r, phi, t):
     squeeze = SqueezeParams(r=r, phi=phi)
     coeffs = gauss_coeffs(params, squeeze, t, flip_b_sign=flip)
-    # Width of the displaced Gaussian, straight from its exponent.
-    from_wave = params.hbar * abs(coeffs.B) / (2.0 * coeffs.B.real)
+    # Width of the displaced Gaussian, straight from its exponent c (A q)^2.
+    from_wave = params.hbar * abs(coeffs.c) / (2.0 * coeffs.c.real)
     closed = uncertainty_product(params, 0, squeeze, t).product
     return abs(from_wave - closed) / closed
 

@@ -7,11 +7,13 @@ Gaussian-times-Hermite form
     Psi_n(q, t) = (2^n n!)^{-1/2} (A/sqrt(pi))^{1/2} e^{-i Theta (n + 1/2)}
                   H_n(A q) e^{-B q^2},
 
-with coefficients derived from the mode u_{r phi}(t):
+with coefficients from the frame mode (v, w) of u_{r phi} and s = e^{gamma t/2}:
 
-    A = 1/sqrt(2 hbar |u|^2),
-    B = -i m0 e^{gamma t} u'* / (2 hbar u*),
-    Theta = -arg(u).
+    A = s / (sqrt(2 hbar) |v|),
+    B = c A^2,  c = -i m0 v w*,
+    Theta = -arg(v).
+
+The Wronskian makes Re c = 1/2; states use e^{-c (A q)^2}, so s never meets q^2.
 
 Coherent states are rigid displacements of the ground Gaussian along the
 classical trajectory (q_c(t), p_c(t)), carrying the extra plane-wave factor
@@ -48,18 +50,22 @@ MAX_N = 32
 class GaussCoeffs:
     """Gaussian coefficients (A, B, Theta) at one instant.
 
-    ``A`` is the inverse length scale with A^2 = 2 Re(B) (normalization
-    identity), ``B`` the complex width, ``theta`` the mode phase
+    ``A`` is the inverse length scale, ``c`` the dimensionless width with
+    Re(c) = 1/2, ``B`` = c A^2 the complex width, ``theta`` the mode phase
     -arg(u_{r phi}) (principal value or the continuous representative,
-    depending on how the coefficients were built).  Re(B) > 0 for every
+    depending on how the coefficients were built).  Re(c) > 0 for every
     admissible state; the record does not enforce it so that the
     fault-injection path used by the validation suite stays representable.
     """
 
     A: float
-    B: complex
+    c: complex
     theta: float
     t: float
+
+    @property
+    def B(self) -> complex:
+        return self.c * self.A**2
 
 
 @dataclass(frozen=True)
@@ -140,23 +146,18 @@ def gauss_coeffs(
         for half-integer multipliers.
     flip_b_sign : bool
         Fault-injection hook for the validation suite's negative control;
-        flips B -> -B, which destroys normalizability.
+        flips B -> -B (c -> -c), which destroys normalizability.
     """
     mode = mode_u_rphi(params, squeeze, t)
-    a_coeff = 1.0 / math.sqrt(2.0 * params.hbar * abs(mode.u) ** 2)
-    b_coeff = (
-        -1j
-        * params.m0
-        * _envelope(params.gamma * t)
-        * mode.udot.conjugate()
-        / (2.0 * params.hbar * mode.u.conjugate())
-    )
+    a_coeff = _envelope(0.5 * params.gamma * t) / (math.sqrt(2.0 * params.hbar) * abs(mode.v))
+    # c = -i m0 v w*, with Re c = m0 Im(v w*) = 1/2, whose terms are O(e^{2r}).
+    width = complex(0.5, -params.m0 * (mode.v * mode.w.conjugate()).real)
     if flip_b_sign:
-        b_coeff = -b_coeff
+        width = -width
     # atan2 rather than cmath.phase: the latter raises OverflowError when the
     # angle underflows to zero (a subnormal imaginary part, e.g. phi = 5e-324).
     if theta_mode == "principal":
-        theta = -math.atan2(mode.u.imag, mode.u.real)
+        theta = -math.atan2(mode.v.imag, mode.v.real)
     elif theta_mode == "continuous":
         bracket = math.cosh(squeeze.r) + math.sinh(squeeze.r) * cmath.exp(
             1j * (2.0 * params.omega * t + squeeze.phi)
@@ -164,7 +165,7 @@ def gauss_coeffs(
         theta = params.omega * t - math.atan2(bracket.imag, bracket.real)
     else:
         raise ValueError(f"unknown theta_mode {theta_mode!r}")
-    return GaussCoeffs(A=a_coeff, B=b_coeff, theta=theta, t=t)
+    return GaussCoeffs(A=a_coeff, c=width, theta=theta, t=t)
 
 
 def eval_number_state(
@@ -190,9 +191,9 @@ def eval_number_state(
     n = spec.n
     norm = (2.0**n * math.factorial(n)) ** -0.5 * (coeffs.A / math.sqrt(math.pi)) ** 0.5
     phase = cmath.exp(-1j * coeffs.theta * (n + 0.5))
-    qa = np.asarray(q, dtype=float)
-    psi = norm * phase * hermite(n, coeffs.A * qa) * np.exp(-coeffs.B * qa**2)
-    return complex(psi) if qa.ndim == 0 else psi
+    x = coeffs.A * np.asarray(q, dtype=float)
+    psi = norm * phase * hermite(n, x) * np.exp(-coeffs.c * x**2)
+    return complex(psi) if x.ndim == 0 else psi
 
 
 def eval_coherent_state(
@@ -209,7 +210,7 @@ def eval_coherent_state(
     The wave function is
 
         Psi = (A/sqrt(pi))^{1/2} F e^{-i Theta/2}
-              e^{-B (q - q_c)^2} e^{i p_c q / hbar},
+              e^{-c (A (q - q_c))^2} e^{i p_c q / hbar},
 
     with the global phase F = exp(-i p_c q_c / (2 hbar)) fixed by the
     displacement-operator factorization; this is the unique unimodular
@@ -228,7 +229,8 @@ def eval_coherent_state(
         * cmath.exp(-1j * coeffs.theta / 2.0)
     )
     qa = np.asarray(q, dtype=float)
-    psi = front * np.exp(-coeffs.B * (qa - q_c) ** 2) * np.exp(1j * p_c * qa / params.hbar)
+    x = coeffs.A * (qa - q_c)
+    psi = front * np.exp(-coeffs.c * x**2) * np.exp(1j * p_c * qa / params.hbar)
     return complex(psi) if qa.ndim == 0 else psi
 
 
@@ -240,23 +242,18 @@ def coherent_trajectory(
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Classical phase-space point carried by the coherent state ``alpha``.
 
-    q_c = sqrt(hbar) (alpha u + alpha* u*) and
-    p_c = sqrt(hbar) m0 e^{gamma t} (alpha u' + alpha* u'*); both real.
+    q_c = sqrt(hbar) (alpha u + alpha* u*) = 2 sqrt(hbar) Re(alpha v) / s and
+    p_c = sqrt(hbar) m0 e^{gamma t} (alpha u' + alpha* u'*) = 2 sqrt(hbar) m0 Re(alpha w) s.
     The eigenvalue alpha is a constant of motion, so one alpha traces the
     full damped trajectory.  ``t`` is a float or an ndarray; so are q_c
     and p_c.
     """
     mode = mode_u_rphi(params, squeeze, t)
+    s = _envelope(0.5 * params.gamma * mode.t)
     alpha = complex(alpha)
     sq = math.sqrt(params.hbar)
-    q_c = sq * 2.0 * (alpha.real * mode.u.real - alpha.imag * mode.u.imag)
-    p_c = (
-        sq
-        * params.m0
-        * _envelope(params.gamma * mode.t)
-        * 2.0
-        * (alpha.real * mode.udot.real - alpha.imag * mode.udot.imag)
-    )
+    q_c = sq * 2.0 * (alpha.real * mode.v.real - alpha.imag * mode.v.imag) / s
+    p_c = sq * params.m0 * 2.0 * (alpha.real * mode.w.real - alpha.imag * mode.w.imag) * s
     return q_c, p_c
 
 
@@ -266,13 +263,14 @@ def alpha_from_point(
     """Invert :func:`coherent_trajectory`: the eigenvalue whose trajectory
     passes through (q_c, p_c) at time t.
 
-    alpha = (i/sqrt(hbar)) (u* p_c - m0 e^{gamma t} u'* q_c); the Wronskian
+    alpha = (i/sqrt(hbar)) (u* p_c - m0 e^{gamma t} u'* q_c)
+    = (i/sqrt(hbar)) (v* p_c / s - m0 w* q_c s); the Wronskian
     normalization makes this map exactly inverse to the trajectory.
     """
     mode = mode_u_rphi(params, squeeze, t)
-    weight = params.m0 * _envelope(params.gamma * t)
+    s = _envelope(0.5 * params.gamma * t)
     return (
         1j
         / math.sqrt(params.hbar)
-        * (mode.u.conjugate() * p_c - weight * mode.udot.conjugate() * q_c)
+        * (mode.v.conjugate() * (p_c / s) - params.m0 * mode.w.conjugate() * (q_c * s))
     )

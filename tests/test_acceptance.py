@@ -424,10 +424,11 @@ def test_12_flipped_width_negative_control(tmp_path, capsys):
 def test_13_general_gaussian_is_squeezed_state():
     # The paper's second claim: every normalizable symmetric Gaussian
     # e^{-B q^2} (Re B > 0) at a time t is a squeezed ground state.  The
-    # mode it implies has A^2 = 2 Re B, so |u| = 1/(A sqrt(2 hbar)), and
-    # u'*/u* = 2 i hbar B/(m0 e^{gamma t}); the phase of u is free and
-    # becomes the state's global phase.  squeeze_from_mode recovers (r, phi)
-    # and the squeezed ground state must be the normalized Gaussian.
+    # mode it implies has A^2 = 2 Re B; in the frame, with s = e^{gamma t/2},
+    # |v| = s/(A sqrt(2 hbar)) and w*/v* = 2 i hbar B/(m0 s^2); the phase
+    # of v is free and becomes the state's global phase.  squeeze_from_mode
+    # recovers (r, phi) and the squeezed ground state must be the
+    # normalized Gaussian.
     rng = np.random.default_rng(RNG_SEED)
     worst_gap = 0.0
     worst_modulus = 0.0
@@ -436,12 +437,13 @@ def test_13_general_gaussian_is_squeezed_state():
         for _ in range(25):
             b = complex(rng.uniform(0.1, 3.0), rng.uniform(-3.0, 3.0))
             t = float(rng.uniform(0.0, 3.0))
-            arg_u = float(rng.uniform(0.0, 2.0 * math.pi))
+            arg_v = float(rng.uniform(0.0, 2.0 * math.pi))
             a = math.sqrt(2.0 * b.real)
-            u = cmath.exp(1j * arg_u) / (a * math.sqrt(2.0 * params.hbar))
-            ratio = 2j * params.hbar * b / (params.m0 * math.exp(params.gamma * t))
-            udot = (u.conjugate() * ratio).conjugate()
-            squeeze = squeeze_from_mode(params, ModeValue(u=u, udot=udot, t=t))
+            s = math.exp(0.5 * params.gamma * t)
+            v = s * cmath.exp(1j * arg_v) / (a * math.sqrt(2.0 * params.hbar))
+            ratio = 2j * params.hbar * b / (params.m0 * s * s)
+            w = (v.conjugate() * ratio).conjugate()
+            squeeze = squeeze_from_mode(params, ModeValue(v=v, w=w, t=t))
             sigma = 1.0 / (a * math.sqrt(2.0))
             q = np.linspace(-10.0 * sigma, 10.0 * sigma, 2049)
             psi = eval_number_state(params, StateSpec.number(0, squeeze), t, q)

@@ -29,29 +29,26 @@ draws = dict(
 
 
 def reference(params, n, squeeze, alpha, t):
-    """u0, u0', u, u', dq, dp and (q_c, p_c) at one float time, in
-    Python complex arithmetic: the bits the tables were built from."""
-    u0 = (
-        math.exp(-params.gamma * t / 2.0)
-        / math.sqrt(2.0 * params.m0 * params.omega)
-        * cmath.exp(-1j * params.omega * t)
-    )
-    udot0 = complex(-params.gamma / 2.0, -params.omega) * u0
+    """v0, w0, v, w, dq, dp, dq dp and (q_c, p_c) at one float time, in
+    Python complex arithmetic: the bits the tables are built from."""
+    v0 = 1.0 / math.sqrt(2.0 * params.m0 * params.omega) * cmath.exp(-1j * params.omega * t)
+    w0 = complex(-params.gamma / 2.0, -params.omega) * v0
     mu = math.cosh(squeeze.r)
     nu = cmath.exp(1j * squeeze.phi) * math.sinh(squeeze.r)
-    u, udot = mu * u0 + nu * u0.conjugate(), mu * udot0 + nu * udot0.conjugate()
+    v, w = mu * v0 + nu * v0.conjugate(), mu * w0 + nu * w0.conjugate()
     scale = math.sqrt(params.hbar * (2 * n + 1))
-    weight = math.exp(params.gamma * t)
+    s = math.exp(0.5 * params.gamma * t)
     sq = math.sqrt(params.hbar)
     return {
-        "u0": u0,
-        "udot0": udot0,
-        "u": u,
-        "udot": udot,
-        "dq": scale * abs(u),
-        "dp": scale * params.m0 * weight * abs(udot),
-        "q_c": sq * 2.0 * (alpha * u).real,
-        "p_c": sq * params.m0 * weight * 2.0 * (alpha * udot).real,
+        "v0": v0,
+        "w0": w0,
+        "v": v,
+        "w": w,
+        "dq": scale * abs(v) / s,
+        "dp": scale * params.m0 * abs(w) * s,
+        "product": params.hbar * (2 * n + 1) * params.m0 * abs(v) * abs(w),
+        "q_c": sq * 2.0 * (alpha * v).real / s,
+        "p_c": sq * params.m0 * 2.0 * (alpha * w).real * s,
     }
 
 
@@ -74,8 +71,8 @@ def test_array_call_equals_scalar_calls(gamma, r, phi, n, t0, span, alpha_re, al
     for mode_fn in (mode_u0, lambda p, t: mode_u_rphi(p, squeeze, t)):
         whole = mode_fn(params, ts)
         one_by_one = [mode_fn(params, t) for t in scalar_ts]
-        assert same_bits(whole.u, [m.u for m in one_by_one])
-        assert same_bits(whole.udot, [m.udot for m in one_by_one])
+        assert same_bits(whole.v, [m.v for m in one_by_one])
+        assert same_bits(whole.w, [m.w for m in one_by_one])
         assert same_bits(whole.t, scalar_ts)
         w = wronskian(params, whole)
         assert same_bits(w, [wronskian(params, m) for m in one_by_one])
@@ -98,12 +95,13 @@ def test_array_call_equals_scalar_calls(gamma, r, phi, n, t0, span, alpha_re, al
     u0 = mode_u0(params, ts)
     squeezed = mode_u_rphi(params, squeeze, ts)
     got = {
-        "u0": u0.u,
-        "udot0": u0.udot,
-        "u": squeezed.u,
-        "udot": squeezed.udot,
+        "v0": u0.v,
+        "w0": u0.w,
+        "v": squeezed.v,
+        "w": squeezed.w,
         "dq": rec.dq,
         "dp": rec.dp,
+        "product": rec.product,
         "q_c": q_c,
         "p_c": p_c,
     }
@@ -115,7 +113,7 @@ def test_array_call_equals_scalar_calls(gamma, r, phi, n, t0, span, alpha_re, al
 def test_scalar_time_gives_python_scalars(t):
     squeeze = SqueezeParams(0.5, 1.0)
     for mode in (mode_u0(P_STAR, t), mode_u_rphi(P_STAR, squeeze, t)):
-        assert type(mode.u) is complex and type(mode.udot) is complex
+        assert type(mode.v) is complex and type(mode.w) is complex
         assert type(mode.t) is float
     rec = uncertainty_product(P_STAR, 1, squeeze, t)
     for value in (rec.dq, rec.dp, rec.product, rec.bound, rec.t):
@@ -132,18 +130,33 @@ def test_array_time_gives_arrays_of_its_shape():
     ts = np.linspace(0.0, 3.0, 12).reshape(3, 4)
     squeeze = SqueezeParams(0.5, 1.0)
     mode = mode_u_rphi(P_STAR, squeeze, ts)
-    assert mode.u.shape == mode.udot.shape == ts.shape
-    assert mode.u.dtype == complex
+    assert mode.v.shape == mode.w.shape == ts.shape
+    assert mode.v.dtype == complex
     rec = uncertainty_product(P_STAR, 0, squeeze, ts)
     assert rec.product.shape == ts.shape and type(rec.bound) is float
     assert hamiltonian_expectation(P_STAR, 0, squeeze, ts).shape == ts.shape
     assert all(x.shape == ts.shape for x in coherent_trajectory(P_STAR, squeeze, 1.0, ts))
 
 
-@pytest.mark.parametrize("t", [-600.0, -1000.0])
+@pytest.mark.parametrize("t", [600.0, -600.0, -1000.0])
+def test_product_is_exact_far_from_the_origin(t):
+    # e^{gamma t} leaves the double range here (gamma = 1.2), but the
+    # product carries no envelope and s = e^{gamma t/2} stays normal.
+    squeeze = SqueezeParams(0.0, 0.0)
+    for rec in (
+        uncertainty_product(P_STAR, 0, squeeze, t),
+        uncertainty_product(P_STAR, 0, squeeze, np.array([0.0, t])),
+    ):
+        assert np.all(np.abs(rec.product - 0.625) <= 4 * math.ulp(0.625))
+        assert np.all(np.abs(rec.dq * rec.dp - 0.625) <= 4 * math.ulp(0.625))
+    q_c, p_c = coherent_trajectory(P_STAR, squeeze, 1.0, t)
+    assert math.isfinite(q_c) and math.isfinite(p_c)
+
+
+@pytest.mark.parametrize("t", [-1200.0])
 def test_subnormal_envelope_raises(t):
-    # e^{gamma t} is subnormal at t = -600 and 0 at t = -1000 (gamma = 1.2),
-    # which would print dp = 0 where dq dp is 0.625.
+    # s = e^{gamma t/2} is subnormal at t = -1200 (gamma = 1.2): dq would
+    # overflow and dp lose its digits.
     squeeze = SqueezeParams(0.0, 0.0)
     with pytest.raises(ArithmeticError, match="underflows"):
         uncertainty_product(P_STAR, 0, squeeze, t)
@@ -154,5 +167,6 @@ def test_subnormal_envelope_raises(t):
 
 
 def test_envelope_overflow_stays_overflow_error():
+    # s = e^{720} at t = 1200 (gamma = 1.2).
     with pytest.raises(OverflowError):
-        uncertainty_product(P_STAR, 0, SqueezeParams(0.0, 0.0), np.array([0.0, 600.0]))
+        uncertainty_product(P_STAR, 0, SqueezeParams(0.0, 0.0), np.array([0.0, 1200.0]))

@@ -1,9 +1,13 @@
 """Command-line interface: subcommands, config layering, formats, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from ckstates.cli import main
 from ckstates.modes import SqueezeParams, make_params
@@ -115,6 +119,19 @@ def test_trajectory_damped_envelope(capsys):
     assert rows[-1][0] == pytest.approx(period, rel=1e-12)
     assert rows[-1][1] == pytest.approx(shrink * rows[0][1], rel=1e-10)
     assert rows[0][1] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("t0", ["-30", "-50"])
+def test_trajectory_starts_at_its_anchor_far_before_the_origin(t0, capsys):
+    # e^{gamma t0} is e^{-36} and e^{-60} here; the path is anchored at t0
+    # itself, so the first row is the given point to rounding.
+    rc, out, err = run_cli(
+        ["trajectory", "--t0", t0, "--qc", "1", "--pc", "-1", "--nt", "3"], capsys
+    )
+    assert rc == 0 and err == ""
+    _, rows = csv_rows(out)
+    assert abs(rows[0][1] - 1.0) <= 2 * math.ulp(1.0)
+    assert abs(rows[0][2] + 1.0) <= 2 * math.ulp(1.0)
 
 
 def test_trajectory_undamped_orbit_closes(capsys):
@@ -315,14 +332,97 @@ def test_non_finite_parameter_exits_2(flag, value, capsys):
 
 
 def test_arithmetic_overflow_exits_2(capsys):
-    # e^{gamma t} overflows a double at gamma = 1.2, t = 600; it is
-    # subnormal at t = -600 and 0 at t = -1000, where dp would print 0.
-    for t0 in ("600", "-600", "-1000"):
+    # s = e^{gamma t/2} overflows a double at gamma = 1.2, t = 1200, and is
+    # subnormal at t = -1200, where dq would overflow and dp print 0.
+    for t0 in ("1200", "-1200"):
         rc, out, err = run_cli(["uncertainty", "--t0", t0, "--nt", "2"], capsys)
         assert rc == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
-        assert ("OverflowError" if t0 == "600" else "underflows") in err
+        assert ("OverflowError" if t0 == "1200" else "underflows") in err
+
+
+@pytest.mark.parametrize("t0", ["600", "-600", "-1000"])
+def test_far_times_keep_the_product(t0, capsys):
+    # e^{gamma t0} leaves the double range here, s = e^{gamma t0/2} does not.
+    rc, out, err = run_cli(["uncertainty", "--t0", t0, "--nt", "2"], capsys)
+    assert rc == 0 and err == ""
+    for line in out.splitlines()[1:]:
+        t, dq, dp, product, bound, ratio = map(float, line.split(","))
+        assert abs(product - 0.625) <= 4 * math.ulp(0.625)
+        assert all(map(math.isfinite, (dq, dp))) and dq > 0.0 and dp > 0.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["uncertainty", "--nt", "1000000000000000"],
+        ["wavefunction", "--grid-points", "1000000000000000"],
+    ],
+)
+def test_allocation_failure_exits_2(argv, capsys):
+    # 8 PB per column: refused at allocation, before any memory is touched.
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: MemoryError") and err.count("\n") == 1
+
+
+def _run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+@given(
+    command=st.sampled_from(["uncertainty", "wavefunction", "trajectory", "hamiltonian"]),
+    t0=st.floats(-1e4, 1e4),
+    r=st.floats(0.0, 20.0),
+    phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+    damping=st.floats(0.0, 0.99),
+    n=st.integers(0, 8),
+    point=st.none() | st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+)
+@example("trajectory", -30.0, 0.0, 0.0, 0.6, 0, (1.0, -1.0))
+@example("trajectory", -50.0, 0.0, 0.0, 0.6, 0, (1.0, -1.0))
+@example("uncertainty", 600.0, 0.0, 0.0, 0.6, 0, None)
+@example("uncertainty", -600.0, 0.0, 0.0, 0.6, 0, None)
+@example("wavefunction", -590.0, 0.0, 0.0, 0.6, 0, None)
+@example(
+    "wavefunction", 544.369653836779, 0.36012404277654764, 4.278141394781542,
+    1.8342697425750452 / 2.0, 0, None,
+)
+@example(
+    "trajectory", 393.84215968797685, 4.783355054177183, 3.784176256731654,
+    1.7969854201884365 / 2.0, 0, (0.7713718408841093, 0.6609449339366158),
+)
+@example(
+    "wavefunction", 9819.113021645418, 2.743126661491609, 1.7620647951763575,
+    0.07991649356653331 / 2.0, 0, (-1.2417072772832722, 1.8918607183672496),
+)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_table_commands_at_the_domain_edge(command, t0, r, phi, damping, n, point):
+    # Every input gives finite rows and a quiet stderr, or exit code 2 and
+    # one error line; RuntimeWarnings are errors under the test settings.
+    # --flag=value, as argparse takes "-1e-38" after a space for a flag.
+    argv = [command, f"--gamma={2.0 * damping!r}", f"--r={r!r}", f"--phi={phi!r}"]
+    argv.append(f"--t0={t0!r}")
+    if point is not None:
+        argv += [f"--qc={point[0]!r}", f"--pc={point[1]!r}"]
+    elif command == "trajectory":
+        argv += ["--qc=0.0", "--pc=0.0"]
+    else:
+        argv.append(f"--n={n}")
+    rc, out, err = _run_quiet(argv)
+    if rc == 0:
+        assert err == ""
+        _, rows = csv_rows(out)
+        assert rows and all(math.isfinite(x) for row in rows for x in row)
+    else:
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_unknown_flag_exits_2(capsys):

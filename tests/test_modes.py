@@ -85,8 +85,8 @@ def test_bogoliubov_normalization(r, phi):
 
 def test_mode_u0_at_origin():
     mode = mode_u0(P_STAR, 0.0)
-    assert mode.u == pytest.approx(1.0 / math.sqrt(2.0 * 0.8), abs=1e-15)
-    assert mode.udot == pytest.approx(complex(-0.6, -0.8) * mode.u, abs=1e-15)
+    assert mode.v == pytest.approx(1.0 / math.sqrt(2.0 * 0.8), abs=1e-15)
+    assert mode.w == pytest.approx(complex(-0.6, -0.8) * mode.v, abs=1e-15)
 
 
 @given(gamma=gammas, r=radii, phi=phases, t=times)
@@ -118,7 +118,7 @@ def test_squeeze_from_mode_gauge_at_zero_squeeze():
 
 def test_squeeze_from_mode_rejects_denormalized_mode():
     mode = mode_u0(P_STAR, 0.7)
-    bad = ModeValue(u=1.1 * mode.u, udot=1.1 * mode.udot, t=mode.t)
+    bad = ModeValue(v=1.1 * mode.v, w=1.1 * mode.w, t=mode.t)
     with pytest.raises(WronskianError):
         squeeze_from_mode(P_STAR, bad)
 

@@ -348,15 +348,39 @@ def test_residual_detects_perturbed_width():
                 - psi_at(0.9 + 2.0 * h, factor)
             ) / (12.0 * h)
 
-        delta = 1e-4 / P_STAR.omega
+        psi = psi_at(0.9, factor)
+        hpsi = _apply_hamiltonian(P_STAR, psi, grid, 0.9)
+        delta = 1e-4 * P_STAR.hbar * np.linalg.norm(psi) / np.linalg.norm(hpsi)
         dpsi_dt = (16.0 * d4(delta / 2.0) - d4(delta)) / 15.0
-        hpsi = _apply_hamiltonian(P_STAR, psi_at(0.9, factor), grid, 0.9)
         return float(
             np.linalg.norm(1j * P_STAR.hbar * dpsi_dt - hpsi) / np.linalg.norm(hpsi)
         )
 
     assert residual_for(1.0) < 1e-6
     assert residual_for(1.01) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        make_params(
+            m0=1.0678095464283202, gamma=3.61395078915318,
+            omega0=1.8733478849413852, hbar=1.103930756419824,
+        ),
+        make_params(
+            m0=1.2791164400927502, gamma=3.1010318641584855,
+            omega0=1.5997950009066826, hbar=0.7045252258459043,
+        ),
+    ],
+    ids=["0.965", "0.969"],
+)
+def test_residual_step_follows_the_state(params):
+    # The coherent entry at (-2, 1.5) turns its phase about 1e4 times faster
+    # than omega here: a step fixed at 1e-4/omega left residuals of 8e-5 and
+    # 1e-3, over the 1e-5 tolerance.
+    schedule = tuple(c for c in default_schedule(params) if c.name == "residual")
+    report = validate(params, schedule=schedule)
+    assert report.summary == {"total": 5, "passed": 5, "failed": 0, "skipped": 0}
 
 
 # ---------------------------------------------------------------- Crank-Nicolson

@@ -98,7 +98,8 @@ def test_state_spec_validation():
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])
-@pytest.mark.parametrize("r, phi, t", [(0.0, 0.0, 0.0), (0.8, 2.0, 1.3)])
+# At r = 17 the terms of Im(v w*) are e^{34} times its value 1/(2 m0).
+@pytest.mark.parametrize("r, phi, t", [(0.0, 0.0, 0.0), (0.8, 2.0, 1.3), (17.0, 5.9, -17.0)])
 def test_number_state_normalized(n, r, phi, t):
     spec = StateSpec.number(n, SqueezeParams(r, phi))
     coeffs = gauss_coeffs(P_STAR, spec.squeeze, t)
