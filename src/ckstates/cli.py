@@ -12,12 +12,14 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
+from ._g17 import rows_text
 from .modes import SqueezeParams, _elementwise, _envelope, make_params
 from .observables import hamiltonian_expectation, uncertainty_product
 from .oracle import ToleranceConfig, make_grid, validate
@@ -169,24 +171,24 @@ def _write_table(columns: tuple, units: tuple, data: tuple, cfg: RunConfig) -> N
     """Write the header and one CSV or JSON line per row of the equal-length
     float arrays ``data``, one per column.
 
-    Each row is one precompiled ``%`` template filled with 17-digit values,
-    ``TABLE_CHUNK_ROWS`` rows at a time, so the text of the whole table is
-    never held at once.  Every column is computed before the call, so an
-    error leaves no partial output.
+    Values are printed as ``'%.17g' %`` prints them, by the vectorized
+    renderer in ``_g17``, ``TABLE_CHUNK_ROWS`` rows at a time, so the text
+    of the whole table is never held at once.  Every column is computed
+    before the call, so an error leaves no partial output.
     """
     if cfg.format == "csv":
         header = ",".join(f"{c} [{u}]" for c, u in zip(columns, units))
-        row = ",".join(["%.17g"] * len(columns)) + "\n"
+        literals = ["", *[","] * (len(columns) - 1), "\n"]
     else:
         header = json.dumps({"columns": list(columns), "units": list(units)})
-        row = "{" + ", ".join(f"{json.dumps(c)}: %.17g" for c in columns) + "}\n"
+        keys = [f"{json.dumps(c)}: " for c in columns]
+        literals = ["{" + keys[0], *(", " + key for key in keys[1:]), "}\n"]
     n_rows = len(data[0])
 
     def chunks():
         yield header + "\n"
         for start in range(0, n_rows, TABLE_CHUNK_ROWS):
-            block = [col[start : start + TABLE_CHUNK_ROWS].tolist() for col in data]
-            yield "".join(map(row.__mod__, zip(*block)))
+            yield rows_text(literals, [col[start : start + TABLE_CHUNK_ROWS] for col in data])
 
     _write(chunks(), cfg.out)
 
@@ -323,8 +325,21 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads "-1.2e-38" or "-2e+3" after a flag as a negative number.
+
+    argparse's own pattern (Python 3.10 to 3.13) has no exponent, so it
+    takes such a value for a flag and the command ends in a usage error.
+    Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--gamma", type=float, help="damping rate (default 1.2)")
     common.add_argument("--omega0", type=float, help="natural frequency (default 1)")
     common.add_argument("--m0", type=float, help="mass scale (default 1)")
@@ -358,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="key = value file of validation tolerance overrides",
     )
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ckstates",
         description=(
             "Exact Gaussian states of the damped (Caldirola-Kanai) harmonic "

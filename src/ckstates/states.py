@@ -230,7 +230,16 @@ def eval_coherent_state(
     )
     qa = np.asarray(q, dtype=float)
     x = coeffs.A * (qa - q_c)
-    psi = front * np.exp(-coeffs.c * x**2) * np.exp(1j * p_c * qa / params.hbar)
+    # Samples where x^2 or c x^2 would overflow (the same products scaled by
+    # 2^-1026 reach 1/4) lie so far from q_c that the Gaussian is 0 there;
+    # they are squared as 0 and set to 0.  The product stays one expression:
+    # numpy forms it in place in a temporary, which near underflow rounds
+    # differently from a product into a new array.
+    scaled = np.minimum(np.square(x * 2.0**-513), 1.0)
+    near = max(1.0, abs(coeffs.c.imag)) * scaled < 0.25
+    x2 = np.square(x, out=np.zeros_like(x), where=near)
+    psi = front * np.exp(-coeffs.c * x2) * np.exp(1j * p_c * qa / params.hbar)
+    psi = np.where(near, psi, 0.0)
     return complex(psi) if qa.ndim == 0 else psi
 
 

@@ -5,11 +5,12 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ckstates.cli import main
+from ckstates.cli import RunConfig, _write_table, main
 from ckstates.modes import SqueezeParams, make_params
 from ckstates.observables import uncertainty_product
 
@@ -104,6 +105,33 @@ def test_wavefunction_grid_clamping(capsys):
     assert rc == 0
     _, rows = csv_rows(out)
     assert len(rows) == 1025
+
+
+@pytest.mark.parametrize(
+    "physics, qc, pc",
+    [
+        # A |q_c| is about 3e169: (A (q - q_c))^2 overflows at the origin.
+        (("0.07991649356653331", "2.743126661491609", "1.7620647951763575", "9819.113021645418"),
+         "-1.2417072772832722", "1.8918607183672496"),
+        # A |q_c| is about 2e268, within a factor 1e41 of the largest double.
+        (("0.8672669739482599", "2.0329284226104516", "2.63640083082865", "1426.724877675293"),
+         "1.1001539653596404", "1.367417548763985"),
+    ],
+)
+def test_coherent_wavefunction_narrower_than_its_offset(physics, qc, pc, capsys):
+    # The Gaussian is 0 far from q_c and every sample is finite.
+    gamma, r, phi, t0 = physics
+    rc, out, err = run_cli(
+        ["wavefunction", "--gamma", gamma, "--r", r, "--phi", phi, "--t0", t0,
+         f"--qc={qc}", "--pc", pc],
+        capsys,
+    )
+    assert rc == 0 and err == ""
+    _, rows = csv_rows(out)
+    assert all(math.isfinite(x) for row in rows for x in row)
+    peak = max(range(len(rows)), key=lambda i: rows[i][3])
+    assert peak == min(range(len(rows)), key=lambda i: abs(rows[i][0] - float(qc)))
+    assert rows[peak][3] > 0.0
 
 
 # ---------------------------------------------------------------- trajectory
@@ -263,6 +291,51 @@ def test_out_file_equals_stdout(argv, fmt, tmp_path, capsys):
     assert ts == pytest.approx([period * k / 4999 for k in range(5000)], abs=1e-12)
 
 
+@pytest.mark.parametrize("value", ["-1.175494351e-38", "-2e+3"])
+def test_negative_exponent_flag_value_after_a_space(value, capsys):
+    argv = ["trajectory", "--qc", "0", "--nt", "3"]
+    rc, spaced, err = run_cli(argv + ["--pc", value], capsys)
+    assert rc == 0 and err == ""
+    rc, joined, _ = run_cli(argv + [f"--pc={value}"], capsys)
+    assert rc == 0 and spaced == joined
+    _, rows = csv_rows(spaced)
+    assert rows[0][2] == pytest.approx(float(value), rel=1e-12)
+
+
+def _printf_table(columns, data, fmt):
+    """The table text of the ``%`` row template, the renderer's reference."""
+    if fmt == "csv":
+        row = ",".join(["%.17g"] * len(columns)) + "\n"
+    else:
+        row = "{" + ", ".join(f"{json.dumps(c)}: %.17g" for c in columns) + "}\n"
+    return "".join(map(row.__mod__, zip(*(col.tolist() for col in data))))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n", [1, 2, 4095, 4096, 4097, 65537])
+def test_table_text_equals_the_printf_template(n, fmt, tmp_path, capsys):
+    rng = np.random.default_rng(n)
+    columns, units = ("t", "qc", "pc", "energy"), ("time", "length", "momentum", "energy")
+    data = (
+        np.linspace(-3.0, 50.0, n),
+        rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n),
+        rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),
+        np.round(rng.standard_normal(n), 4),
+    )
+    # Zeros and values printed by '%' itself, in the middle of the second
+    # chunk where there is one.
+    odd = [0.0, -0.0, 1e15 + 0.25, 1e-300, -1e300, 5e-324, math.inf, -math.inf, math.nan]
+    k = min(len(odd), n)
+    at = min(4096 + 2048, n - k)
+    data[3][at : at + k] = odd[:k]
+    _write_table(columns, units, data, RunConfig(format=fmt))
+    stdout = capsys.readouterr().out
+    assert stdout.split("\n", 1)[1] == _printf_table(columns, data, fmt)
+    target = tmp_path / "table.out"
+    _write_table(columns, units, data, RunConfig(format=fmt, out=str(target)))
+    assert target.read_bytes() == stdout.encode("ascii")
+
+
 def test_repeat_runs_are_byte_identical(capsys):
     argv = ["uncertainty", "--r", "0.7", "--phi", "2.2", "--nt", "16"]
     _, first, _ = run_cli(argv, capsys)
@@ -383,37 +456,41 @@ def _run_quiet(argv):
     damping=st.floats(0.0, 0.99),
     n=st.integers(0, 8),
     point=st.none() | st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    spaced=st.booleans(),
 )
-@example("trajectory", -30.0, 0.0, 0.0, 0.6, 0, (1.0, -1.0))
-@example("trajectory", -50.0, 0.0, 0.0, 0.6, 0, (1.0, -1.0))
-@example("uncertainty", 600.0, 0.0, 0.0, 0.6, 0, None)
-@example("uncertainty", -600.0, 0.0, 0.0, 0.6, 0, None)
-@example("wavefunction", -590.0, 0.0, 0.0, 0.6, 0, None)
+@example("trajectory", -30.0, 0.0, 0.0, 0.6, 0, (1.0, -1.0), True)
+@example("trajectory", -50.0, 0.0, 0.0, 0.6, 0, (1.0, -1.0), False)
+@example("uncertainty", 600.0, 0.0, 0.0, 0.6, 0, None, False)
+@example("uncertainty", -600.0, 0.0, 0.0, 0.6, 0, None, True)
+@example("wavefunction", -590.0, 0.0, 0.0, 0.6, 0, None, True)
 @example(
     "wavefunction", 544.369653836779, 0.36012404277654764, 4.278141394781542,
-    1.8342697425750452 / 2.0, 0, None,
+    1.8342697425750452 / 2.0, 0, None, False,
 )
 @example(
     "trajectory", 393.84215968797685, 4.783355054177183, 3.784176256731654,
-    1.7969854201884365 / 2.0, 0, (0.7713718408841093, 0.6609449339366158),
+    1.7969854201884365 / 2.0, 0, (0.7713718408841093, 0.6609449339366158), True,
 )
 @example(
     "wavefunction", 9819.113021645418, 2.743126661491609, 1.7620647951763575,
-    0.07991649356653331 / 2.0, 0, (-1.2417072772832722, 1.8918607183672496),
+    0.07991649356653331 / 2.0, 0, (-1.2417072772832722, 1.8918607183672496), True,
 )
+@example("uncertainty", 0.0, 0.0, 0.0, 0.6, 0, (0.0, -1.175494351e-38), True)
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_table_commands_at_the_domain_edge(command, t0, r, phi, damping, n, point):
+def test_table_commands_at_the_domain_edge(command, t0, r, phi, damping, n, point, spaced):
     # Every input gives finite rows and a quiet stderr, or exit code 2 and
     # one error line; RuntimeWarnings are errors under the test settings.
-    # --flag=value, as argparse takes "-1e-38" after a space for a flag.
-    argv = [command, f"--gamma={2.0 * damping!r}", f"--r={r!r}", f"--phi={phi!r}"]
-    argv.append(f"--t0={t0!r}")
+    # Flags are passed as "--flag value" or "--flag=value".
+    flags = [("--gamma", 2.0 * damping), ("--r", r), ("--phi", phi), ("--t0", t0)]
     if point is not None:
-        argv += [f"--qc={point[0]!r}", f"--pc={point[1]!r}"]
+        flags += [("--qc", point[0]), ("--pc", point[1])]
     elif command == "trajectory":
-        argv += ["--qc=0.0", "--pc=0.0"]
+        flags += [("--qc", 0.0), ("--pc", 0.0)]
     else:
-        argv.append(f"--n={n}")
+        flags.append(("--n", n))
+    argv = [command]
+    for flag, value in flags:
+        argv += [flag, repr(value)] if spaced else [f"{flag}={value!r}"]
     rc, out, err = _run_quiet(argv)
     if rc == 0:
         assert err == ""
