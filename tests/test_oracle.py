@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from ckstates import oracle
 from ckstates.modes import SqueezeParams, make_params
 from ckstates.observables import uncertainty_product
 from ckstates.states import StateSpec, eval_coherent_state, eval_number_state, gauss_coeffs
 from ckstates.oracle import (
+    BOUNDARY_LEAK_TOL,
     BoundaryLeakError,
     CHECK_MAX_POINTS,
     CN_MAX_POINTS,
@@ -33,6 +35,7 @@ from ckstates.oracle import (
     schrodinger_residual,
     validate,
     _apply_hamiltonian,
+    _EDGE_BLOCK,
     _check_grid,
     _cn_grid,
     _derivative,
@@ -516,6 +519,15 @@ def test_cn_rejects_coarse_stepping():
         crank_nicolson_evolve(params, psi0, grid, 0.5, 0.5, 100)
 
 
+@pytest.mark.parametrize("t0, t1", [(0.0, math.inf), (-math.inf, 0.0)])
+def test_cn_rejects_infinite_window(t0, t1):
+    params = _frame_params(P_STAR)
+    grid = GridSpec(-8.0, 8.0, 513)
+    psi0 = eval_number_state(params, GROUND, 0.0, grid.points())
+    with pytest.raises(ValueError, match="t0 and t1 must be finite"):
+        crank_nicolson_evolve(params, psi0, grid, t0, t1, 1000)
+
+
 def test_cn_refuses_damped_params():
     # Only the undamped frame has the constant Hamiltonian that is factored once.
     grid = GridSpec(-8.0, 8.0, 513)
@@ -524,19 +536,15 @@ def test_cn_refuses_damped_params():
         crank_nicolson_evolve(P_STAR, psi0, grid, 0.0, 0.5, 1000)
 
 
-def test_cn_equals_per_step_solve_banded_bit_for_bit():
-    # Reference: the bands of L written out and scipy's solve_banded, which
-    # refactors L at every step.  Factoring once must not move one bit.
+def _per_step_cn(params, psi0, grid, t0, t1, n_steps):
+    """Reference propagation: the bands of L written out and scipy's
+    solve_banded, which refactors L at every step.  Yields the samples
+    and the time after each step."""
     from scipy.linalg import solve_banded
 
-    params = _frame_params(P_STAR)
-    squeeze = SqueezeParams(0.5, 1.0)
-    grid = _cn_grid(P_STAR, squeeze)
     Q = grid.points()
-    t1 = CN_PERIODS * math.pi / params.omega
-    n_steps = 1370
-    phi0 = _in_frame(P_STAR, StateSpec.number(0, squeeze), 0.0, Q)
-    half = 0.5 * t1 / n_steps
+    dt = (t1 - t0) / n_steps
+    half = 0.5 * dt
     kin = half * params.hbar / (2.0 * params.m0 * grid.dq**2)
     pot12 = (params.m0 * params.omega0**2 / (24.0 * params.hbar)) * Q * Q
     ab = np.empty((3, Q.size), dtype=complex)
@@ -544,16 +552,99 @@ def test_cn_equals_per_step_solve_banded_bit_for_bit():
     ab.real[1] = 10.0 / 12.0
     ab.imag[0] = ab.imag[2] = pot12 * half - kin
     ab.imag[1] = ab.imag[0] * 10.0 + 12.0 * kin
-    psi = phi0
-    for _ in range(n_steps):
+    psi = np.asarray(psi0, dtype=complex)
+    for k in range(n_steps):
         rhs = ab[1].conjugate() * psi
         side = ab[0].conjugate() * psi
         rhs[:-1] += side[1:]
         rhs[1:] += side[:-1]
         psi = solve_banded((1, 1), ab, rhs)
-    evolved = crank_nicolson_evolve(params, phi0, grid, 0.0, t1, n_steps)
+        yield psi, t0 + (k + 1) * dt
+
+
+def test_cn_equals_per_step_solve_banded_bit_for_bit():
+    # Factoring once and solving in place must not move one bit, whether
+    # the steps end inside an edge-mass block, on its end or just past it.
+    params = _frame_params(P_STAR)
+    squeeze = SqueezeParams(0.5, 1.0)
+    grid = _cn_grid(P_STAR, squeeze)
+    Q = grid.points()
+    phi0 = _in_frame(P_STAR, StateSpec.number(0, squeeze), 0.0, Q)
+    phi0_bytes = phi0.tobytes()
     assert grid.n_points == 2049
-    assert evolved.tobytes() == psi.tobytes()
+    # At least 1000 steps per period in each window.
+    for n_steps, periods in (
+        (1370, CN_PERIODS),
+        (_EDGE_BLOCK - 1, 0.25),
+        (_EDGE_BLOCK, 0.25),
+        (_EDGE_BLOCK + 1, 0.25),
+    ):
+        t1 = periods * math.pi / params.omega
+        for psi, _ in _per_step_cn(params, phi0, grid, 0.0, t1, n_steps):
+            pass
+        evolved = crank_nicolson_evolve(params, phi0, grid, 0.0, t1, n_steps)
+        assert evolved.tobytes() == psi.tobytes()
+        assert phi0.tobytes() == phi0_bytes
+        assert not np.shares_memory(evolved, phi0)
+
+
+def test_cn_calls_solve_banded_once_per_step(monkeypatch):
+    # The traced oracle.solve_banded counts one call per step.
+    calls = []
+    solve = oracle.solve_banded
+
+    def counting(factor, rhs):
+        calls.append(None)
+        return solve(factor, rhs)
+
+    monkeypatch.setattr(oracle, "solve_banded", counting)
+    params = _frame_params(P_STAR)
+    grid = GridSpec(-8.0, 8.0, 513)
+    psi0 = eval_number_state(params, GROUND, 0.0, grid.points())
+    n_steps = 2 * _EDGE_BLOCK + 7
+    crank_nicolson_evolve(params, psi0, grid, 0.0, 0.5, n_steps)
+    assert len(calls) == n_steps
+
+
+def _first_leak(params, psi0, grid, t0, t1, n_steps):
+    """Step index and message of the first leak under the per-step guard's
+    formula, evaluated after every step."""
+    steps = _per_step_cn(params, psi0, grid, t0, t1, n_steps)
+    for k, (psi, t) in enumerate(steps):
+        edge_mass = (
+            float(np.sum(np.abs(psi[:5]) ** 2) + np.sum(np.abs(psi[-5:]) ** 2))
+            * grid.dq
+        )
+        if not edge_mass <= BOUNDARY_LEAK_TOL:
+            return k, (
+                f"probability mass {edge_mass:.3e} within 5 points of the "
+                f"boundary at t={t:.6f}; enlarge the grid"
+            )
+    raise AssertionError("no leak")
+
+
+def test_cn_leak_reports_the_first_offending_step():
+    # A coherent packet launched at the right wall first leaks at step 300,
+    # inside the second edge-mass block; the steps end in the third block,
+    # or in the second when that block is the last, partial one.
+    params = _frame_params(P_STAR)
+    grid = GridSpec(-6.0, 6.0, 513)
+    spec = StateSpec.coherent(1.0, 3.0, NO_SQUEEZE)
+    psi0 = eval_coherent_state(params, spec, 0.0, grid.points())
+    dt = 0.5 / 612
+    for n_steps in (2 * _EDGE_BLOCK + 100, _EDGE_BLOCK + 100):
+        t1 = n_steps * dt
+        first, expected = _first_leak(params, psi0, grid, 0.0, t1, n_steps)
+        assert _EDGE_BLOCK < first < min(2 * _EDGE_BLOCK, n_steps) - 1
+        with pytest.raises(BoundaryLeakError) as excinfo:
+            crank_nicolson_evolve(params, psi0, grid, 0.0, t1, n_steps)
+        assert str(excinfo.value) == expected
+
+    # A nan sample is no mass within the tolerance.
+    psi0 = eval_number_state(params, GROUND, 0.0, grid.points())
+    psi0[grid.n_points // 2] = math.nan
+    with pytest.raises(BoundaryLeakError, match="probability mass nan"):
+        crank_nicolson_evolve(params, psi0, grid, 0.0, 0.5, 612)
 
 
 # ---------------------------------------------------------------- tolerances
