@@ -14,7 +14,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -144,7 +144,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 def _read_tolerances(path: str | None) -> ToleranceConfig:
     if path is None:
         return ToleranceConfig()
-    known = ToleranceConfig.field_names()
+    known = {f.name for f in fields(ToleranceConfig)}
     overrides = {}
     for key, text in _read_key_values(path).items():
         if key not in known:
@@ -153,7 +153,7 @@ def _read_tolerances(path: str | None) -> ToleranceConfig:
             overrides[key] = float(text)
         except ValueError as exc:
             raise UsageError(f"tolerance {key!r}: {exc}") from exc
-    return ToleranceConfig().override(**overrides)
+    return replace(ToleranceConfig(), **overrides)
 
 
 def _write(chunks, out: str | None) -> None:

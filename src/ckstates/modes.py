@@ -89,7 +89,8 @@ class PhysicalParams:
     NotUnderdampedError
         If gamma >= 2 omega0.
     ValueError
-        If any constant is non-finite or out of range.
+        If any constant is non-finite or out of range, or omega^2 falls
+        below the smallest normal double.
     """
 
     m0: float
@@ -114,8 +115,13 @@ class PhysicalParams:
             raise NotUnderdampedError(
                 f"not underdamped: gamma={self.gamma} >= 2*omega0={2.0 * self.omega0}"
             )
-        omega = math.sqrt(self.omega0**2 - self.gamma**2 / 4.0)
-        object.__setattr__(self, "omega", omega)
+        omega2 = self.omega0**2 - self.gamma**2 / 4.0
+        # Below the smallest normal double omega^2 has lost precision; see _envelope.
+        if omega2 < sys.float_info.min:
+            raise ValueError(
+                f"omega0^2 - gamma^2/4 = {omega2!r} underflows the normal double range"
+            )
+        object.__setattr__(self, "omega", math.sqrt(omega2))
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,6 @@ from .modes import (
 from .states import MAX_N
 
 __all__ = [
-    "AngleGamma",
     "UncertaintyRecord",
     "TimeAverage",
     "theta_gamma",
@@ -56,21 +55,8 @@ __all__ = [
     "hamiltonian_expectation",
 ]
 
-
-@dataclass(frozen=True)
-class AngleGamma:
-    """Damping angle theta_gamma in [0, pi).
-
-    Defined by sin(theta) = (gamma/omega)/(1 + gamma^2/(4 omega^2)) and
-    cos(theta) = (1 - gamma^2/(4 omega^2))/(1 + gamma^2/(4 omega^2))
-    simultaneously; equivalently sec(theta/2) = omega0/omega.
-    """
-
-    theta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.theta < math.pi:
-            raise ValueError(f"theta_gamma must lie in [0, pi), got {self.theta}")
+# Trapezoid samples of one period in uncertainty_time_avg.
+TIME_AVG_SAMPLES = 4097
 
 
 @dataclass(frozen=True)
@@ -111,13 +97,17 @@ class TimeAverage:
     closed_form: float | None
 
 
-def theta_gamma(params: PhysicalParams) -> AngleGamma:
-    """Damping angle from its sine and cosine closed forms via atan2."""
+def theta_gamma(params: PhysicalParams) -> float:
+    """Damping angle theta_gamma in [0, pi), sec(theta_gamma/2) = omega0/omega.
+
+    The atan2 of sin(theta) = (gamma/omega)/(1 + gamma^2/(4 omega^2)) >= 0 and
+    cos(theta) = (1 - gamma^2/(4 omega^2))/(1 + gamma^2/(4 omega^2)).
+    """
     ratio = params.gamma**2 / (4.0 * params.omega**2)
     denom = 1.0 + ratio
     sin_t = (params.gamma / params.omega) / denom
     cos_t = (1.0 - ratio) / denom
-    return AngleGamma(theta=math.atan2(sin_t, cos_t))
+    return math.atan2(sin_t, cos_t)
 
 
 def sigma0(params: PhysicalParams) -> float:
@@ -125,7 +115,7 @@ def sigma0(params: PhysicalParams) -> float:
 
     Both closed forms are evaluated and must agree to 1e-12 relative.
     """
-    via_angle = 1.0 / math.cos(theta_gamma(params).theta / 2.0)
+    via_angle = 1.0 / math.cos(theta_gamma(params) / 2.0)
     direct = 1.0 / math.sqrt(1.0 - params.gamma**2 / (4.0 * params.omega0**2))
     if abs(via_angle - direct) > 1e-12 * direct:
         raise ArithmeticError(
@@ -167,26 +157,24 @@ def uncertainty_product(
 
 
 def uncertainty_time_avg(
-    params: PhysicalParams, n: int, squeeze: SqueezeParams, *, n_samples: int = 4097
+    params: PhysicalParams, n: int, squeeze: SqueezeParams
 ) -> TimeAverage:
     """Average the uncertainty product over one period T = pi/omega.
 
     The product hbar m0 |v| |w| (2n + 1) depends on time only through
     2 omega t + phi, so T = pi/omega is its exact period.  The trapezoid
-    rule with at least 2049 samples resolves the integrand far below the
-    comparison tolerances.
+    rule with ``TIME_AVG_SAMPLES`` samples resolves the integrand far below
+    the comparison tolerances.
     """
     if not (0 <= n <= MAX_N):
         raise ValueError(f"number index must be in [0, {MAX_N}], got {n}")
-    if n_samples < 2049:
-        raise ValueError(f"need at least 2049 samples, got {n_samples}")
     period = math.pi / params.omega
-    ts = np.linspace(0.0, period, n_samples)
+    ts = np.linspace(0.0, period, TIME_AVG_SAMPLES)
     values = _product(params, n, mode_u_rphi(params, squeeze, ts))
     numeric = float(np.trapezoid(values, ts) / period)
     closed_form = None
     if n == 0:
-        angle = theta_gamma(params).theta
+        angle = theta_gamma(params)
         closed_form = 0.5 * params.hbar * sigma0(params) * (
             math.cosh(squeeze.r) ** 2
             - 0.5 * math.cos(angle) * math.sinh(squeeze.r) ** 2
@@ -209,7 +197,7 @@ def hamiltonian_expectation(
     if not (0 <= n <= MAX_N):
         raise ValueError(f"number index must be in [0, {MAX_N}], got {n}")
     t = _as_time(t)
-    half_angle = theta_gamma(params).theta / 2.0
+    half_angle = theta_gamma(params) / 2.0
     sec2 = 1.0 / math.cos(half_angle) ** 2
     modulation = math.cosh(2.0 * squeeze.r) + math.sinh(2.0 * squeeze.r) * math.sin(
         half_angle

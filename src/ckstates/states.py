@@ -30,7 +30,6 @@ import numpy as np
 from .modes import PhysicalParams, SqueezeParams, _envelope, mode_u_rphi
 
 __all__ = [
-    "MAX_N",
     "GaussCoeffs",
     "StateSpec",
     "hermite",

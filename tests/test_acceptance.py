@@ -92,7 +92,7 @@ def test_02_product_constancy_at_reference_point():
         uncertainty_product(P_STAR, 0, NO_SQUEEZE, float(t)).product for t in times
     ]
     deviation = max(abs(p - 0.625) for p in products)
-    half = theta_gamma(P_STAR).theta / 2.0
+    half = theta_gamma(P_STAR) / 2.0
     forms_gap = abs(
         1.0 / math.cos(half)
         - 1.0 / math.sqrt(1.0 - P_STAR.gamma**2 / (4.0 * P_STAR.omega0**2))

@@ -415,6 +415,19 @@ def test_arithmetic_overflow_exits_2(capsys):
         assert ("OverflowError" if t0 == "1200" else "underflows") in err
 
 
+@pytest.mark.parametrize(
+    "command", ["uncertainty", "wavefunction", "trajectory", "hamiltonian", "validate"]
+)
+def test_subnormal_omega_squared_exits_2(command, capsys):
+    # omega0^2 = 1e-320 is subnormal; hamiltonian printed a value 4e-6 off
+    # with exit 0 before the parameters refused it.
+    argv = [command, "--omega0", "1e-160", "--gamma", "1e-160", "--nt", "2"]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: omega0^2 - gamma^2/4") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("t0", ["600", "-600", "-1000"])
 def test_far_times_keep_the_product(t0, capsys):
     # e^{gamma t0} leaves the double range here, s = e^{gamma t0/2} does not.

@@ -57,6 +57,19 @@ def test_make_params_rejects_non_finite_constants(m0, gamma, omega0, hbar):
         make_params(m0, gamma, omega0, hbar)
 
 
+@pytest.mark.parametrize(
+    "omega0, gamma",
+    [(1e-160, 1e-160), (1e-160, 0.0), (1e-300, 0.0), (1e-150, 2e-150 * (1.0 - 1e-10))],
+)
+def test_make_params_rejects_subnormal_omega_squared(omega0, gamma):
+    # omega0^2 - gamma^2/4 below the smallest normal double has lost its
+    # precision: at (1e-160, 1e-160) omega would be 4e-6 off.
+    with pytest.raises(ValueError, match="underflows the normal double range"):
+        make_params(1.0, gamma, omega0, 1.0)
+    # The smallest normal omega^2 is accepted.
+    assert make_params(1.0, 0.0, 1.5e-154, 1.0).omega == 1.5e-154
+
+
 def test_make_params_rejects_overdamped():
     with pytest.raises(NotUnderdampedError):
         make_params(1.0, 2.0, 1.0, 1.0)
