@@ -12,8 +12,10 @@ numpy operations:
   D = round(y) is the correctly rounded 17-digit significand unless y lies
   within ``TIE_MARGIN`` of a half-integer.
 * Digits.  D splits into its leading digit and four groups of four digits,
-  each mapped through a 10^4-entry table of four ASCII bytes.
-* Layout.  One uint8 table, keyed by (notation, significant digits, sign),
+  each mapped through a 10^4-entry table of four ASCII bytes; a second
+  10^4-entry table of each group's trailing zeros gives the number of
+  significant digits.
+* Layout.  One index table, keyed by (notation, significant digits, sign),
   lists which byte of a value's digit record goes to each of the
   ``WIDTH`` output slots; unused slots point at a NUL byte, dropped when
   the row text is joined.
@@ -49,6 +51,8 @@ _P_MIN, _P_MAX = -270, 300
 # four-digit exponent, word 6 ".e-0", word 7 the exponent sign and NULs.
 _DIGIT, _EXP, _DOT, _E, _MINUS, _ZERO, _EXP_SIGN, _NUL = 3, 20, 24, 25, 26, 27, 28, 29
 _RECORD = 32
+# Values per block of the byte gather, which holds a WIDTH-wide index per value.
+_GATHER = 4096
 # Notations: fixed for exponents X in [-4, 16] (cases 0-20, case X + 4),
 # then exponent form with two and with three exponent digits.
 _FIXED = 21
@@ -67,13 +71,13 @@ def _tables():
         hi.append(head)
         lo.append((num * h_den - h_num * den) / (den * h_den))
     hi = np.array(hi)
-    c = _SPLIT * hi
-    hi_head = c - (c - hi)
-    powers = (hi, hi_head, hi - hi_head, np.array(lo))
+    powers = (hi, *_split(hi), np.array(lo))
 
     groups = np.arange(10**4)
     chars = np.stack([groups // 10**j % 10 for j in (3, 2, 1, 0)], axis=1) + ord("0")
     digits4 = np.ascontiguousarray(chars, dtype=np.uint8).view(np.uint32).ravel()
+    # Trailing zeros of each group; group 0 is handled by the caller.
+    zeros4 = sum(groups % 10**j == 0 for j in range(1, 4))
     consts = np.frombuffer(b".e-0+\0\0\0-\0\0\0", np.uint32)
 
     # Row (case * 17 + s - 1) * 2 + neg of the layout table.
@@ -83,7 +87,8 @@ def _tables():
         for s in range(1, 18)
         for neg in (0, 1)
     )
-    return powers, digits4, consts, np.frombuffer(layout, np.uint8).reshape(-1, WIDTH)
+    layout = np.frombuffer(layout, np.uint8).reshape(-1, WIDTH).astype(np.intp)
+    return powers, digits4, zeros4, consts, layout
 
 
 def _layout(case: int, s: int, neg: int) -> list:
@@ -106,13 +111,19 @@ def _layout(case: int, s: int, neg: int) -> list:
     return slots
 
 
+def _split(a: np.ndarray):
+    """Dekker's split of ``a`` into a head of 26 significant bits and the
+    exact rest, for |a| below 2^996."""
+    c = _SPLIT * a
+    head = c - (c - a)
+    return head, a - head
+
+
 def _significand(a: np.ndarray, k: np.ndarray, powers: tuple):
     """D = round(y), y = a 10^(16 - k), as int64, and y - D."""
     index = 16 - k - _P_MIN
     p_hi, b_hi, b_lo, p_lo = (table[index] for table in powers)
-    c = _SPLIT * a
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
+    a_hi, a_lo = _split(a)
     # Dekker's two-product: prod + err is a * p_hi exactly.
     prod = a * p_hi
     err = ((a_hi * b_hi - prod) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
@@ -133,7 +144,7 @@ def _printf(values: np.ndarray) -> np.ndarray:
 def render(x) -> np.ndarray:
     """Text of ``'%.17g' % v`` for each float64 v in ``x``, as an (n, WIDTH)
     uint8 array, left-aligned and NUL-padded."""
-    powers, digits4, consts, layout = _tables()
+    powers, digits4, zeros4, consts, layout = _tables()
     x = np.asarray(x, dtype=np.float64).ravel()
     a = np.abs(x)
     fast = (a >= LOW) & (a <= HIGH)
@@ -157,23 +168,29 @@ def render(x) -> np.ndarray:
     high, low = np.divmod(rest, 10**8)
     record = np.empty((len(x), 8), np.uint32)
     record[:, 0] = digits4[lead]
-    record[:, 1], record[:, 2] = (digits4[g] for g in np.divmod(high, 10**4))
-    record[:, 3], record[:, 4] = (digits4[g] for g in np.divmod(low, 10**4))
+    # Significant digits: 17 less the trailing zeros; the leading digit is not 0.
+    zeros = 0
+    for j, group in enumerate((*np.divmod(high, 10**4), *np.divmod(low, 10**4)), 1):
+        record[:, j] = digits4[group]
+        zeros = np.where(group == 0, zeros + 4, zeros4[group])
     record[:, 5] = digits4[np.abs(k)]
     record[:, 6] = consts[0]
     record[:, 7] = np.where(k < 0, consts[2], consts[1])
     text = record.view(np.uint8)
-    # Significant digits: 17 less the trailing zeros; the leading digit is not 0.
-    s = 17 - np.argmax(text[:, _DIGIT + 16 : _DIGIT - 1 : -1] != ord("0"), axis=1)
     text[zero, _DIGIT] = ord("0")
 
     case = np.where(
         (k >= -4) & (k <= 16), k + 4, np.where(np.abs(k) < 100, _FIXED, _FIXED + 1)
     )
-    row = (case * 17 + s - 1) * 2 + np.signbit(x)
-    index = np.take(layout, row, axis=0).astype(np.intp)
-    index += np.arange(0, len(x) * _RECORD, _RECORD)[:, None]
-    out = np.take(text.ravel(), index)
+    row = (case * 17 + 16 - zeros) * 2 + np.signbit(x)
+    flat = text.ravel()
+    offsets = np.arange(0, _GATHER * _RECORD, _RECORD)[:, None]
+    out = np.empty((len(x), WIDTH), np.uint8)
+    for start in range(0, len(x), _GATHER):
+        index = np.take(layout, row[start : start + _GATHER], axis=0)
+        index += offsets[: len(index)]
+        # In range anyway; "clip" writes into out where "raise" buffers.
+        np.take(flat[start * _RECORD :], index, out=out[start : start + len(index)], mode="clip")
     slow = ~(fast | zero)
     slow |= np.abs(frac) > 0.5 - TIE_MARGIN
     if slow.any():
@@ -188,11 +205,12 @@ def rows_text(literals: list, columns: list) -> str:
     n = len(columns[0])
     pieces = [np.frombuffer(lit.encode("ascii"), np.uint8) for lit in literals]
     rows = np.empty((n, sum(map(len, pieces)) + WIDTH * len(columns)), np.uint8)
+    texts = render(np.concatenate(columns)).reshape(len(columns), n, WIDTH)
     start = 0
-    for piece, column in zip(pieces, columns):
+    for piece, text in zip(pieces, texts):
         rows[:, start : start + len(piece)] = piece
         start += len(piece)
-        rows[:, start : start + WIDTH] = render(column)
+        rows[:, start : start + WIDTH] = text
         start += WIDTH
     rows[:, start:] = pieces[-1]
     flat = rows.ravel()

@@ -458,20 +458,24 @@ def crank_nicolson_evolve(
     if info != 0:
         raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
     factor = (zgttrs, *lu)
-    # rhs = conj(L) psi
+    # rhs = conj(L) psi.  The solve overwrites rhs, which becomes psi, so the
+    # two buffers trade roles each step; their shifted views are made once.
     diag_conj, off_conj = diag.conjugate(), off.conjugate()
-    rhs = np.empty_like(psi)
     side = np.empty_like(psi)
+    side_head, side_tail = side[:-1], side[1:]
+    rhs_views, psi_views = ((buf, buf[:-1], buf[1:]) for buf in (np.empty_like(psi), psi))
     edge_index = np.r_[0:5, psi.size - 5 : psi.size]
     edges = np.empty((_EDGE_BLOCK, edge_index.size), dtype=complex)
     for start in range(0, n_steps, _EDGE_BLOCK):
         block = edges[: min(_EDGE_BLOCK, n_steps - start)]
         for row in block:
+            rhs, rhs_head, rhs_tail = rhs_views
             np.multiply(diag_conj, psi, out=rhs)
             np.multiply(off_conj, psi, out=side)
-            rhs[:-1] += side[1:]
-            rhs[1:] += side[:-1]
-            psi, rhs = solve_banded(factor, rhs), psi
+            np.add(rhs_head, side_tail, out=rhs_head)
+            np.add(rhs_tail, side_head, out=rhs_tail)
+            psi = solve_banded(factor, rhs)
+            rhs_views, psi_views = psi_views, rhs_views
             # In range anyway; "clip" writes into row where "raise" buffers.
             psi.take(edge_index, out=row, mode="clip")
         _check_edge_mass(block, grid.dq, t0, start, dt)

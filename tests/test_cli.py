@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ckstates.cli import RunConfig, _write_table, main
+from ckstates.cli import RunConfig, _build_parser, _write_table, main
 from ckstates.modes import SqueezeParams, make_params
 from ckstates.observables import uncertainty_product
 
@@ -328,6 +328,11 @@ def test_table_text_equals_the_printf_template(n, fmt, tmp_path, capsys):
     k = min(len(odd), n)
     at = min(4096 + 2048, n - k)
     data[3][at : at + k] = odd[:k]
+    # Fallback values in different columns of one row: the first and the
+    # last row, which at n = 4097 is a chunk of its own.
+    for row, values in ((0, (math.inf, 1e15 + 0.25, -1e-300)), (n - 1, (1e-300, -math.inf, 2.5))):
+        for column, value in zip(data, values):
+            column[row] = value
     _write_table(columns, units, data, RunConfig(format=fmt))
     stdout = capsys.readouterr().out
     assert stdout.split("\n", 1)[1] == _printf_table(columns, data, fmt)
@@ -518,6 +523,22 @@ def test_table_commands_at_the_domain_edge(command, t0, r, phi, damping, n, poin
 def test_unknown_flag_exits_2(capsys):
     rc, _, _ = run_cli(["uncertainty", "--frequency", "3"], capsys)
     assert rc == 2
+
+
+def test_parser_is_reused_across_calls(capsys):
+    sequence = [
+        ["--help"],
+        ["uncertainty", "--frequency", "3"],
+        ["uncertainty", "--r", "0.3", "--nt", "5"],
+        ["trajectory", "--qc", "1", "--pc=-2e-3", "--nt", "4", "--format", "json"],
+    ]
+    _build_parser.cache_clear()
+    reused = [run_cli(argv, capsys) for argv in sequence]
+    assert _build_parser.cache_info().misses == 1
+    assert [rc for rc, _, _ in reused] == [0, 2, 0, 0]
+    for argv, result in zip(sequence, reused):
+        _build_parser.cache_clear()
+        assert run_cli(argv, capsys) == result
 
 
 def test_help_exits_0(capsys):

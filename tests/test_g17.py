@@ -47,7 +47,8 @@ def test_powers_of_ten_and_their_neighbours():
 
 
 def test_powers_of_two():
-    assert_printf([math.ldexp(1.0, k) for k in range(-1074, 1024)])
+    # 6294 values: the gather runs in blocks of 4096.
+    assert_printf(neighbours([math.ldexp(1.0, k) for k in range(-1074, 1024)]))
 
 
 def test_both_ends_of_the_seventeen_digit_range():
@@ -73,6 +74,22 @@ def test_fixed_and_exponent_notation_boundaries():
     values = [1e-5, 1e-4, 0.1, 0.5, 1.0, 10.0, 123.25, 1e15 + 0.5, 2.0**53]
     values += [1e100, 1e-100, 1.5e99, 9.5e-100, 123456789012345678.0]
     assert_printf(neighbours(values + [-v for v in values]))
+
+
+def test_trailing_zeros_at_each_digit_group_boundary():
+    # Exact doubles n 10^k print the digits of n, so D = n 10^(17 - len(n))
+    # has 17 - len(n) trailing zeros: every count from 16 (D = 10^16) to 0,
+    # in fixed and in exponent notation.
+    values = []
+    for digits in range(1, 18):
+        n = int("1" * (digits - 1) + "3") if digits < 17 else 12345678901234568
+        for k in (0, 7, 21):
+            x = float(Fraction(n) * Fraction(10) ** k)
+            if Fraction(x) == Fraction(n) * Fraction(10) ** k:
+                values.append(x)
+    significant = {len(("%.17e" % v).split("e")[0].replace(".", "").rstrip("0")) for v in values}
+    assert significant == set(range(1, 18))
+    assert_printf(values + [-v for v in values] + [1e16, 1.0, 0.0, -0.0])
 
 
 def test_zeros_and_non_finite_values():
@@ -102,7 +119,9 @@ def test_tables_are_built_on_first_use():
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import ckstates.cli; "
-        "from ckstates import _g17; print(_g17._tables.cache_info().currsize)"
+        "from ckstates import _g17; "
+        "print(_g17._tables.cache_info().currsize, ckstates.cli._build_parser.cache_info().currsize)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "0"
+    # Neither the renderer's tables nor the argument parser is built at import.
+    assert out.stdout.split() == ["0", "0"]
