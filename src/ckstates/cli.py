@@ -72,23 +72,26 @@ class RunConfig:
     given: frozenset = frozenset()
 
 
-_CONVERTERS = {
-    "gamma": float,
-    "omega0": float,
-    "m0": float,
-    "hbar": float,
-    "r": float,
-    "phi": float,
-    "n": int,
-    "qc": float,
-    "pc": float,
-    "t0": float,
-    "t1": float,
-    "nt": int,
-    "grid_points": int,
-    "format": str,
-    "out": str,
+# The options every subcommand takes, as config key: (converter, help).  The
+# flag is --key with "-" for "_"; RunConfig holds the defaults the help quotes.
+_OPTIONS = {
+    "gamma": (float, "damping rate"),
+    "omega0": (float, "natural frequency"),
+    "m0": (float, "mass scale"),
+    "hbar": (float, "action scale"),
+    "r": (float, "squeeze magnitude"),
+    "phi": (float, "squeeze phase"),
+    "n": (int, "number-state index"),
+    "qc": (float, "coherent position at t0"),
+    "pc": (float, "coherent momentum at t0"),
+    "t0": (float, "window start"),
+    "t1": (float, "window end (default t0 + 2 pi/omega)"),
+    "nt": (int, "time samples"),
+    "grid_points": (int, "position grid points, rounded up to 2^k + 1"),
+    "format": (str, "output format"),
+    "out": (str, "write output to PATH"),
 }
+_FLAG_EXTRAS = {"format": {"choices": ("csv", "json")}, "out": {"metavar": "PATH"}}
 
 
 def _read_key_values(path: str) -> dict:
@@ -113,14 +116,13 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     values = {}
     if args.config:
         for key, text in _read_key_values(args.config).items():
-            conv = _CONVERTERS.get(key)
-            if conv is None:
+            if key not in _OPTIONS:
                 raise UsageError(f"unknown config key {key!r} in {args.config}")
             try:
-                values[key] = conv(text)
+                values[key] = _OPTIONS[key][0](text)
             except ValueError as exc:
                 raise UsageError(f"config key {key!r}: {exc}") from exc
-    for key in _CONVERTERS:
+    for key in _OPTIONS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             values[key] = flag_value
@@ -347,30 +349,12 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first ``main`` call and reused."""
     common = _Parser(add_help=False)
-    common.add_argument("--gamma", type=float, help="damping rate (default 1.2)")
-    common.add_argument("--omega0", type=float, help="natural frequency (default 1)")
-    common.add_argument("--m0", type=float, help="mass scale (default 1)")
-    common.add_argument("--hbar", type=float, help="action scale (default 1)")
-    common.add_argument("--r", type=float, help="squeeze magnitude (default 0)")
-    common.add_argument("--phi", type=float, help="squeeze phase (default 0)")
-    common.add_argument("--n", type=int, help="number-state index (default 0)")
-    common.add_argument("--qc", type=float, help="coherent position at t0")
-    common.add_argument("--pc", type=float, help="coherent momentum at t0")
-    common.add_argument("--t0", type=float, help="window start (default 0)")
-    common.add_argument(
-        "--t1", type=float, help="window end (default t0 + 2 pi/omega)"
-    )
-    common.add_argument("--nt", type=int, help="time samples (default 64)")
-    common.add_argument(
-        "--grid-points",
-        dest="grid_points",
-        type=int,
-        help="position grid points, rounded up to 2^k + 1 (default 2049)",
-    )
-    common.add_argument(
-        "--format", choices=("csv", "json"), help="output format (default csv)"
-    )
-    common.add_argument("--out", metavar="PATH", help="write output to PATH")
+    for key, (conv, text) in _OPTIONS.items():
+        default = getattr(RunConfig, key)
+        if default is not None:
+            text += f" (default {str(default).removesuffix('.0')})"
+        flag = "--" + key.replace("_", "-")
+        common.add_argument(flag, type=conv, help=text, **_FLAG_EXTRAS.get(key, {}))
     common.add_argument(
         "--config", metavar="PATH", help="key = value file layered under flags"
     )

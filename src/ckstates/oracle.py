@@ -125,6 +125,10 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not self.q_max > self.q_min:
             raise ValueError(f"empty grid: q_min={self.q_min}, q_max={self.q_max}")
+        if not math.isfinite(self.q_max - self.q_min):
+            raise ValueError(
+                f"grid width leaves the double range: q_min={self.q_min}, q_max={self.q_max}"
+            )
         m = self.n_points - 1
         if self.n_points < MIN_GRID_POINTS or m & (m - 1):
             raise ValueError(
@@ -332,12 +336,12 @@ def schrodinger_residual(
 
     The time derivative uses a 4th-order central stencil at step
     1e-4 hbar ||psi|| / ||H psi|| (the state's own time scale),
-    Richardson-extrapolated once; the continuous phase branch
-    keeps all stencil samples on one sheet.  For coherent specs the
-    displacement is anchored at time t through its invariant eigenvalue
-    and moved along the classical trajectory for the stencil samples, so
-    the residual probes one solution rather than a family of re-centered
-    states; H psi is differentiated in q spectrally.
+    Richardson-extrapolated once; the states' phase Theta is continuous
+    in t, so all stencil samples lie on one sheet.  For coherent specs
+    the displacement is anchored at time t through its invariant
+    eigenvalue and moved along the classical trajectory for the stencil
+    samples, so the residual probes one solution rather than a family of
+    re-centered states; H psi is differentiated in q spectrally.
     """
     q = grid.points()
     if spec.kind == "coherent":
@@ -346,16 +350,12 @@ def schrodinger_residual(
         def psi_at(tt: float) -> np.ndarray:
             q_c, p_c = coherent_trajectory(params, spec.squeeze, alpha, tt)
             moved = StateSpec.coherent(q_c, p_c, spec.squeeze)
-            return eval_coherent_state(
-                params, moved, tt, q, theta_mode="continuous", flip_b_sign=flip_b_sign
-            )
+            return eval_coherent_state(params, moved, tt, q, flip_b_sign=flip_b_sign)
 
     else:
 
         def psi_at(tt: float) -> np.ndarray:
-            return eval_number_state(
-                params, spec, tt, q, theta_mode="continuous", flip_b_sign=flip_b_sign
-            )
+            return eval_number_state(params, spec, tt, q, flip_b_sign=flip_b_sign)
 
     def d4(h: float) -> np.ndarray:
         return (
@@ -541,7 +541,7 @@ def cn_cross_check(
     n_steps: int,
     *,
     flip_b_sign: bool = False,
-) -> tuple[float, float, GridSpec]:
+) -> tuple[float, float]:
     """Propagate the squeezed ground state over ``CN_PERIODS`` = 1.37
     periods pi/omega with :func:`crank_nicolson_evolve` and compare with the
     closed form.
@@ -569,9 +569,9 @@ def cn_cross_check(
 
     Returns
     -------
-    (deficit, drift, grid)
-        The fidelity deficit |1 - |<psi_closed|psi_CN>|^2|, the norm drift
-        of the propagated samples, and the grid used, in Q.
+    (deficit, drift)
+        The fidelity deficit |1 - |<psi_closed|psi_CN>|^2| and the norm
+        drift of the propagated samples.
     """
     spec = StateSpec.number(0, squeeze)
     t1 = CN_PERIODS * math.pi / params.omega
@@ -586,7 +586,7 @@ def cn_cross_check(
         float(simpson(np.abs(evolved) ** 2, dx=grid.dq))
         - float(simpson(np.abs(phi0) ** 2, dx=grid.dq))
     )
-    return deficit, drift, grid
+    return deficit, drift
 
 
 @dataclass(frozen=True)
@@ -823,10 +823,9 @@ def _ladder_bogoliubov(params, flip, r, phi, t):
 
 
 def _cn(params, flip, r, phi, n_steps):
-    deficit, drift, _ = cn_cross_check(
+    return cn_cross_check(
         params, SqueezeParams(r=r, phi=phi), int(n_steps), flip_b_sign=flip
     )
-    return deficit, drift
 
 
 def _sim_wave(params, flip, n):

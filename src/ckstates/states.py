@@ -11,7 +11,9 @@ with coefficients from the frame mode (v, w) of u_{r phi} and s = e^{gamma t/2}:
 
     A = s / (sqrt(2 hbar) |v|),
     B = c A^2,  c = -i m0 v w*,
-    Theta = -arg(v).
+    Theta = omega t - arg(cosh r + sinh r e^{i(2 omega t + phi)}).
+
+Theta is -arg(v) without its 2 pi jumps, so Psi_n is continuous in t.
 
 The Wronskian makes Re c = 1/2; states use e^{-c (A q)^2}, so s never meets q^2.
 
@@ -51,16 +53,15 @@ class GaussCoeffs:
 
     ``A`` is the inverse length scale, ``c`` the dimensionless width with
     Re(c) = 1/2, ``B`` = c A^2 the complex width, ``theta`` the mode phase
-    -arg(u_{r phi}) (principal value or the continuous representative,
-    depending on how the coefficients were built).  Re(c) > 0 for every
-    admissible state; the record does not enforce it so that the
-    fault-injection path used by the validation suite stays representable.
+    -arg(u_{r phi}) on the continuous branch of :func:`gauss_coeffs`.
+    Re(c) > 0 for every admissible state; the record does not enforce it so
+    that the fault-injection path used by the validation suite stays
+    representable.
     """
 
     A: float
     c: complex
     theta: float
-    t: float
 
     @property
     def B(self) -> complex:
@@ -127,22 +128,18 @@ def gauss_coeffs(
     squeeze: SqueezeParams,
     t: float,
     *,
-    theta_mode: str = "principal",
     flip_b_sign: bool = False,
 ) -> GaussCoeffs:
     """Gaussian coefficients (A, B, Theta) of the state family at time t.
 
+    Theta = omega t - arg(cosh r + sinh r e^{i(2 omega t + phi)}) is the
+    jump-free representative of -arg(u), equal to the principal value
+    modulo 2 pi; the bracket keeps a positive real part, so no unwrapping
+    state is needed.  The branch matters because e^{-i Theta (n + 1/2)}
+    changes sign with a 2 pi jump of Theta.
+
     Parameters
     ----------
-    theta_mode : {"principal", "continuous"}
-        "principal" reduces Theta = -arg(u) to (-pi, pi].  "continuous"
-        returns the jump-free representative
-        Theta = omega t - arg(cosh r + sinh r e^{i(2 omega t + phi)}),
-        equal to the principal value modulo 2 pi; the bracket keeps a
-        positive real part, so no unwrapping state is needed.  Time-series
-        consumers (Schroedinger residual, phase-sensitive sweeps) need the
-        continuous branch because e^{-i Theta (n + 1/2)} is branch-sensitive
-        for half-integer multipliers.
     flip_b_sign : bool
         Fault-injection hook for the validation suite's negative control;
         flips B -> -B (c -> -c), which destroys normalizability.
@@ -153,18 +150,13 @@ def gauss_coeffs(
     width = complex(0.5, -params.m0 * (mode.v * mode.w.conjugate()).real)
     if flip_b_sign:
         width = -width
+    bracket = math.cosh(squeeze.r) + math.sinh(squeeze.r) * cmath.exp(
+        1j * (2.0 * params.omega * t + squeeze.phi)
+    )
     # atan2 rather than cmath.phase: the latter raises OverflowError when the
     # angle underflows to zero (a subnormal imaginary part, e.g. phi = 5e-324).
-    if theta_mode == "principal":
-        theta = -math.atan2(mode.v.imag, mode.v.real)
-    elif theta_mode == "continuous":
-        bracket = math.cosh(squeeze.r) + math.sinh(squeeze.r) * cmath.exp(
-            1j * (2.0 * params.omega * t + squeeze.phi)
-        )
-        theta = params.omega * t - math.atan2(bracket.imag, bracket.real)
-    else:
-        raise ValueError(f"unknown theta_mode {theta_mode!r}")
-    return GaussCoeffs(A=a_coeff, c=width, theta=theta, t=t)
+    theta = params.omega * t - math.atan2(bracket.imag, bracket.real)
+    return GaussCoeffs(A=a_coeff, c=width, theta=theta)
 
 
 def eval_number_state(
@@ -173,7 +165,6 @@ def eval_number_state(
     t: float,
     q,
     *,
-    theta_mode: str = "principal",
     flip_b_sign: bool = False,
 ):
     """Evaluate the squeezed number state Psi_n(q, t, r, phi).
@@ -184,9 +175,7 @@ def eval_number_state(
     """
     if spec.kind != "number":
         raise ValueError(f"expected a number-state spec, got kind {spec.kind!r}")
-    coeffs = gauss_coeffs(
-        params, spec.squeeze, t, theta_mode=theta_mode, flip_b_sign=flip_b_sign
-    )
+    coeffs = gauss_coeffs(params, spec.squeeze, t, flip_b_sign=flip_b_sign)
     n = spec.n
     norm = (2.0**n * math.factorial(n)) ** -0.5 * (coeffs.A / math.sqrt(math.pi)) ** 0.5
     phase = cmath.exp(-1j * coeffs.theta * (n + 0.5))
@@ -201,7 +190,6 @@ def eval_coherent_state(
     t: float,
     q,
     *,
-    theta_mode: str = "principal",
     flip_b_sign: bool = False,
 ):
     """Evaluate the coherent state displaced to (q_c, p_c) at time t.
@@ -218,9 +206,7 @@ def eval_coherent_state(
     """
     if spec.kind != "coherent":
         raise ValueError(f"expected a coherent-state spec, got kind {spec.kind!r}")
-    coeffs = gauss_coeffs(
-        params, spec.squeeze, t, theta_mode=theta_mode, flip_b_sign=flip_b_sign
-    )
+    coeffs = gauss_coeffs(params, spec.squeeze, t, flip_b_sign=flip_b_sign)
     q_c, p_c = spec.q_c, spec.p_c
     front = (
         (coeffs.A / math.sqrt(math.pi)) ** 0.5

@@ -51,6 +51,7 @@ from ckstates.oracle import (
     make_grid,
     moments,
     schrodinger_residual,
+    _cn_grid,
     _l2,
 )
 
@@ -226,14 +227,15 @@ def test_05_schrodinger_residuals():
 
 
 def test_06_crank_nicolson_cross_check():
+    squeeze = SqueezeParams(0.5, 1.0)
     start = time.perf_counter()
-    deficit, drift, grid = cn_cross_check(P_STAR, SqueezeParams(0.5, 1.0), 4000)
+    deficit, drift = cn_cross_check(P_STAR, squeeze, 4000)
     elapsed = time.perf_counter() - start
     ok = deficit <= 1e-6 and drift < 1e-8 and elapsed < 60.0
     detail = (
         f"fidelity deficit = {deficit:.3e} (tol 1e-6), norm drift = "
-        f"{drift:.3e} (tol 1e-8), {grid.n_points} points, {elapsed:.1f} s "
-        f"(limit 60 s)"
+        f"{drift:.3e} (tol 1e-8), {_cn_grid(P_STAR, squeeze).n_points} points, "
+        f"{elapsed:.1f} s (limit 60 s)"
     )
     assert _verdict("grid evolution cross-check", ok, detail), detail
 

@@ -92,6 +92,21 @@ def test_wavefunction_first_excited_node(capsys):
     assert center[3] < 1e-30  # node at the origin
 
 
+def test_wavefunction_is_continuous_in_t0(capsys):
+    # The principal value of -arg(v) jumps by 2 pi between these times,
+    # which flips the sign of e^{-i Theta/2}; the state itself moves by
+    # O(1e-3) of its peak, the grid scaling with it.
+    tables = []
+    for t0 in ("3.926", "3.927"):
+        rc, out, _ = run_cli(["wavefunction", "--t0", t0], capsys)
+        assert rc == 0
+        rows = np.array(csv_rows(out)[1])
+        tables.append(rows[:, 1] + 1j * rows[:, 2])
+    before, after = tables
+    assert np.max(np.abs(after - before)) < 1e-2 * np.max(np.abs(before))
+    assert np.sign(after[1024].imag) == np.sign(before[1024].imag)
+
+
 def test_wavefunction_coherent_centering(capsys):
     rc, out, _ = run_cli(["wavefunction", "--qc", "2"], capsys)
     assert rc == 0
@@ -431,7 +446,12 @@ def test_arithmetic_overflow_exits_2(capsys):
     # s = e^{gamma t/2} overflows a double at gamma = 1.2, t = 1200, and is
     # subnormal at t = -1200, where dq would overflow and dp print 0.  A
     # coherent energy's square overflows from |q_c| or |p_c| of about 1e154.
+    # A is subnormal at t0 = -8846 here, and the grid width, about 20/A, overflows.
+    far_back = ["--gamma=0.15959587833633063", "--r=16.889372953810675",
+                "--phi=5.356785801894256", "--t0=-8846.357477648922"]
     cases = [
+        (["wavefunction", *far_back, "--n=1"], "grid width leaves the double range"),
+        (["wavefunction", *far_back, "--qc=1"], "grid width leaves the double range"),
         (["uncertainty", "--t0", "1200", "--nt", "2"], "OverflowError"),
         (["uncertainty", "--t0", "-1200", "--nt", "2"], "underflows"),
         (["hamiltonian", "--qc", "1e156", "--nt", "2"], "overflow encountered in square"),

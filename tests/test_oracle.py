@@ -66,6 +66,9 @@ def test_grid_spec_rejects_bad_bounds():
         GridSpec(2.0, 2.0, 1025)
     with pytest.raises(ValueError):
         GridSpec(3.0, -3.0, 1025)
+    for q_min, q_max in ((-math.inf, math.inf), (0.0, math.inf), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="grid width leaves the double range"):
+            GridSpec(q_min, q_max, 1025)
 
 
 def test_grid_spec_rejects_bad_point_counts():
@@ -337,7 +340,7 @@ def test_residual_detects_perturbed_width():
     q = grid.points()
 
     def psi_at(tt, factor):
-        coeffs = gauss_coeffs(P_STAR, NO_SQUEEZE, tt, theta_mode="continuous")
+        coeffs = gauss_coeffs(P_STAR, NO_SQUEEZE, tt)
         b = factor * coeffs.B.real + 1j * coeffs.B.imag
         amp = (2.0 * b.real / math.pi) ** 0.25
         return amp * np.exp(-1j * coeffs.theta / 2.0) * np.exp(-b * q * q)
@@ -458,7 +461,7 @@ def test_cn_frame_resolves_strong_damping():
     # 1.37-period window are 4000 per period (deficit 3.9e-11 at each gamma).
     squeeze = SqueezeParams(0.5, 1.0)
     for gamma in (0.0, 1.8, 1.95):
-        deficit, drift, _ = cn_cross_check(make_params(1.0, gamma, 1.0, 1.0), squeeze, 5480)
+        deficit, drift = cn_cross_check(make_params(1.0, gamma, 1.0, 1.0), squeeze, 5480)
         assert deficit < 1e-10
         assert drift < 1e-11
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_hermite
 
-from ckstates.modes import SqueezeParams, make_params
+from ckstates.modes import SqueezeParams, make_params, mode_u_rphi
 from ckstates.states import (
     MAX_N,
     StateSpec,
@@ -63,9 +63,9 @@ def test_normalization_identity(gamma, r, phi, t):
 def test_theta_branches_agree_mod_2pi(gamma, r, phi, t):
     params = make_params(1.0, gamma, 1.0, 1.0)
     sq = SqueezeParams(r=r, phi=phi)
-    principal = gauss_coeffs(params, sq, t, theta_mode="principal").theta
-    continuous = gauss_coeffs(params, sq, t, theta_mode="continuous").theta
-    k = (continuous - principal) / (2.0 * math.pi)
+    v = mode_u_rphi(params, sq, t).v
+    principal = -math.atan2(v.imag, v.real)
+    k = (gauss_coeffs(params, sq, t).theta - principal) / (2.0 * math.pi)
     assert abs(k - round(k)) < 1e-9
 
 
@@ -73,7 +73,7 @@ def test_continuous_theta_is_jump_free():
     sq = SqueezeParams(r=1.5, phi=2.0)
     ts = np.linspace(0.0, 12.0, 4001)
     thetas = np.array(
-        [gauss_coeffs(P_STAR, sq, float(t), theta_mode="continuous").theta for t in ts]
+        [gauss_coeffs(P_STAR, sq, float(t)).theta for t in ts]
     )
     # max slope of Theta is bounded by omega (1 + coth... ) ~ a few omega;
     # any branch jump would show up as ~2 pi across one sample.
