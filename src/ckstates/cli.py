@@ -156,11 +156,19 @@ def _read_tolerances(path: str | None) -> ToleranceConfig:
 
 
 def _write(chunks, out: str | None) -> None:
-    """Write strings to the file ``out``, or to stdout."""
+    """Write strings to the file ``out``, or to stdout.
+
+    A file that cannot be opened or written is a usage error.
+    """
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            for chunk in chunks:
-                handle.write(chunk)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                for chunk in chunks:
+                    handle.write(chunk)
+        except BrokenPipeError:
+            raise
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc}") from exc
     else:
         for chunk in chunks:
             sys.stdout.write(chunk)

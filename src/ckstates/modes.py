@@ -193,7 +193,7 @@ def _envelope(x):
     forms it scales would print wrong numbers.
     """
     y = _elementwise(math.exp, x)
-    low = y.min() if isinstance(y, np.ndarray) else y
+    low = y.min(initial=np.inf) if isinstance(y, np.ndarray) else y
     if low < sys.float_info.min:
         x_low = x.min() if isinstance(x, np.ndarray) else x
         raise ArithmeticError(

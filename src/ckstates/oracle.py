@@ -288,13 +288,7 @@ def apply_annihilation(
     spectral derivative.  The operator is a constant of motion, so
     a_{r phi} psi_n = sqrt(n) psi_{n-1} at every time.
     """
-    mode = mode_u_rphi(params, squeeze, t)
-    q = grid.points()
-    s = math.exp(0.5 * params.gamma * t)
-    pterm = -1j * params.hbar * _derivative(psi, grid.dq, 1)
-    return (1j / math.sqrt(params.hbar)) * (
-        (mode.v.conjugate() / s) * pterm - params.m0 * s * mode.w.conjugate() * q * psi
-    )
+    return _ladder(params, squeeze, t, psi, grid, lower=True)
 
 
 def apply_creation(
@@ -306,12 +300,19 @@ def apply_creation(
 ) -> np.ndarray:
     """Apply the invariant raising operator, the adjoint of
     :func:`apply_annihilation`."""
+    return _ladder(params, squeeze, t, psi, grid, lower=False)
+
+
+def _ladder(params, squeeze, t, psi, grid, lower):
+    """a_{r phi} psi if ``lower``, else a_{r phi}^dagger psi, whose form
+    takes v, w for v*, w* and -i for i."""
     mode = mode_u_rphi(params, squeeze, t)
+    v, w = (mode.v.conjugate(), mode.w.conjugate()) if lower else (mode.v, mode.w)
     q = grid.points()
     s = math.exp(0.5 * params.gamma * t)
     pterm = -1j * params.hbar * _derivative(psi, grid.dq, 1)
-    return (-1j / math.sqrt(params.hbar)) * (
-        (mode.v / s) * pterm - params.m0 * s * mode.w * q * psi
+    return ((1j if lower else -1j) / math.sqrt(params.hbar)) * (
+        (v / s) * pterm - params.m0 * s * w * q * psi
     )
 
 
@@ -322,6 +323,24 @@ def _apply_hamiltonian(
     kinetic = -(params.hbar**2) * math.exp(-params.gamma * t) / (2.0 * params.m0)
     potential = 0.5 * params.m0 * params.omega0**2 * math.exp(params.gamma * t) * q * q
     return kinetic * _derivative(psi, grid.dq, 2) + potential * psi
+
+
+def _sample(params, spec, t, q, flip):
+    """Closed-form samples of the state ``spec`` at time t.
+
+    ``flip`` is the negative control: the samples are multiplied by
+    e^{2 B (q - q_c)^2}, which turns the Gaussian factor e^{-B (q - q_c)^2}
+    into e^{+B (q - q_c)^2}, the state with B -> -B.  It is not
+    normalizable and solves no Schroedinger equation, so every check that
+    reads it must turn red.
+    """
+    evaluate = eval_number_state if spec.kind == "number" else eval_coherent_state
+    psi = evaluate(params, spec, t, q)
+    if flip:
+        coeffs = gauss_coeffs(params, spec.squeeze, t)
+        x = coeffs.A * (np.asarray(q, dtype=float) - spec.q_c)
+        psi = psi * np.exp(2.0 * coeffs.c * x**2)
+    return psi
 
 
 def schrodinger_residual(
@@ -347,15 +366,12 @@ def schrodinger_residual(
     if spec.kind == "coherent":
         alpha = alpha_from_point(params, spec.squeeze, spec.q_c, spec.p_c, t)
 
-        def psi_at(tt: float) -> np.ndarray:
+    def psi_at(tt: float) -> np.ndarray:
+        state = spec
+        if spec.kind == "coherent":
             q_c, p_c = coherent_trajectory(params, spec.squeeze, alpha, tt)
-            moved = StateSpec.coherent(q_c, p_c, spec.squeeze)
-            return eval_coherent_state(params, moved, tt, q, flip_b_sign=flip_b_sign)
-
-    else:
-
-        def psi_at(tt: float) -> np.ndarray:
-            return eval_number_state(params, spec, tt, q, flip_b_sign=flip_b_sign)
+            state = StateSpec.coherent(q_c, p_c, spec.squeeze)
+        return _sample(params, state, tt, q, flip_b_sign)
 
     def d4(h: float) -> np.ndarray:
         return (
@@ -531,7 +547,7 @@ def _in_frame(
     psi(e^{-gamma t/2} Q, t), beta = m0 gamma/(4 hbar)."""
     scale = math.exp(-0.5 * params.gamma * t)
     beta = params.m0 * params.gamma / (4.0 * params.hbar)
-    psi = eval_number_state(params, spec, t, scale * Q, flip_b_sign=flip_b_sign)
+    psi = _sample(params, spec, t, scale * Q, flip_b_sign)
     return math.sqrt(scale) * np.exp(1j * beta * Q * Q) * psi
 
 
@@ -748,7 +764,7 @@ def _number_samples(params, flip, n, squeeze, t):
     """Check grid and samples of the number state (n, squeeze) at time t."""
     spec = StateSpec.number(int(n), squeeze)
     grid = _check_grid(params, spec, t)
-    return grid, eval_number_state(params, spec, t, grid.points(), flip_b_sign=flip)
+    return grid, _sample(params, spec, t, grid.points(), flip)
 
 
 # Measuring functions, one per check kind: (params, flip_b_sign, *check
@@ -764,8 +780,7 @@ def _wronskian(params, flip, r, phi, t):
 def _normalization(params, flip, kind, *point):
     spec, t = _state(kind, *point)
     grid = make_grid(params, spec, t)
-    evaluate = eval_number_state if kind == "number" else eval_coherent_state
-    psi = evaluate(params, spec, t, grid.points(), flip_b_sign=flip)
+    psi = _sample(params, spec, t, grid.points(), flip)
     return abs(float(simpson(np.abs(psi) ** 2, dx=grid.dq)) - 1.0)
 
 
@@ -802,9 +817,7 @@ def _ladder_step(params, flip, n, r, phi, t):
     squeeze = SqueezeParams(r=r, phi=phi)
     grid, psi = _number_samples(params, flip, n, squeeze, t)
     below = StateSpec.number(int(n) - 1, squeeze)
-    ref = math.sqrt(n) * eval_number_state(
-        params, below, t, grid.points(), flip_b_sign=flip
-    )
+    ref = math.sqrt(n) * _sample(params, below, t, grid.points(), flip)
     lowered = apply_annihilation(params, squeeze, t, psi, grid)
     return _l2(lowered - ref, grid.dq) / _l2(ref, grid.dq)
 
@@ -833,7 +846,7 @@ def _sim_wave(params, flip, n):
         raise _Skipped("special squeeze is undefined for gamma = 0")
     spec = StateSpec.number(int(n), special_squeeze(params))
     q = make_grid(params, spec, 0.0).points()
-    psi = eval_number_state(params, spec, 0.0, q, flip_b_sign=flip)
+    psi = _sample(params, spec, 0.0, q, flip)
     a0 = math.sqrt(params.m0 * params.omega / params.hbar)
     sho = (
         (2.0 ** int(n) * math.factorial(int(n))) ** -0.5
@@ -852,7 +865,7 @@ def _coherent_moments(params, flip, alpha_re, alpha_im, r, phi, t):
     q_c, p_c = coherent_trajectory(params, squeeze, complex(alpha_re, alpha_im), t)
     spec = StateSpec.coherent(q_c, p_c, squeeze)
     grid = _check_grid(params, spec, t)
-    psi = eval_coherent_state(params, spec, t, grid.points(), flip_b_sign=flip)
+    psi = _sample(params, spec, t, grid.points(), flip)
     m = moments(params, psi, grid, t=t)
     scale = max(1.0, abs(q_c), abs(p_c))
     return max(abs(m.q_mean - q_c), abs(m.p_mean - p_c)) / scale, m.warning or ""
@@ -860,9 +873,12 @@ def _coherent_moments(params, flip, alpha_re, alpha_im, r, phi, t):
 
 def _coherent_uncertainty(params, flip, r, phi, t):
     squeeze = SqueezeParams(r=r, phi=phi)
-    coeffs = gauss_coeffs(params, squeeze, t, flip_b_sign=flip)
-    # Width of the displaced Gaussian, straight from its exponent c (A q)^2.
-    from_wave = params.hbar * abs(coeffs.c) / (2.0 * coeffs.c.real)
+    c = gauss_coeffs(params, squeeze, t).c
+    # Width of the displaced Gaussian, straight from its exponent c (A q)^2;
+    # the negative control reads the exponent of the state with B -> -B.
+    if flip:
+        c = -c
+    from_wave = params.hbar * abs(c) / (2.0 * c.real)
     closed = uncertainty_product(params, 0, squeeze, t).product
     return abs(from_wave - closed) / closed
 
@@ -1019,9 +1035,9 @@ def validate(
     check that raises writes a failed entry with the exception text for
     every entry its kind reports, and ``sim_wave`` at gamma = 0, where
     the special squeeze is undefined, is recorded as skipped.
-    ``flip_b_sign`` is the negative control: it flips the sign of the
-    Gaussian width B in every evaluated state, which must blow up
-    normalizations and residuals and turn the report red.
+    ``flip_b_sign`` is the negative control: every check reads its states
+    with the sign of the Gaussian width B flipped (see :func:`_sample`),
+    which must blow up normalizations and residuals and turn the report red.
     """
     tol = tolerances if tolerances is not None else ToleranceConfig()
     if schedule is None:

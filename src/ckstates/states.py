@@ -54,9 +54,6 @@ class GaussCoeffs:
     ``A`` is the inverse length scale, ``c`` the dimensionless width with
     Re(c) = 1/2, ``B`` = c A^2 the complex width, ``theta`` the mode phase
     -arg(u_{r phi}) on the continuous branch of :func:`gauss_coeffs`.
-    Re(c) > 0 for every admissible state; the record does not enforce it so
-    that the fault-injection path used by the validation suite stays
-    representable.
     """
 
     A: float
@@ -123,13 +120,7 @@ def hermite(n: int, x):
     return float(h) if arr.ndim == 0 else h
 
 
-def gauss_coeffs(
-    params: PhysicalParams,
-    squeeze: SqueezeParams,
-    t: float,
-    *,
-    flip_b_sign: bool = False,
-) -> GaussCoeffs:
+def gauss_coeffs(params: PhysicalParams, squeeze: SqueezeParams, t: float) -> GaussCoeffs:
     """Gaussian coefficients (A, B, Theta) of the state family at time t.
 
     Theta = omega t - arg(cosh r + sinh r e^{i(2 omega t + phi)}) is the
@@ -137,19 +128,11 @@ def gauss_coeffs(
     modulo 2 pi; the bracket keeps a positive real part, so no unwrapping
     state is needed.  The branch matters because e^{-i Theta (n + 1/2)}
     changes sign with a 2 pi jump of Theta.
-
-    Parameters
-    ----------
-    flip_b_sign : bool
-        Fault-injection hook for the validation suite's negative control;
-        flips B -> -B (c -> -c), which destroys normalizability.
     """
     mode = mode_u_rphi(params, squeeze, t)
     a_coeff = _envelope(0.5 * params.gamma * t) / (math.sqrt(2.0 * params.hbar) * abs(mode.v))
     # c = -i m0 v w*, with Re c = m0 Im(v w*) = 1/2, whose terms are O(e^{2r}).
     width = complex(0.5, -params.m0 * (mode.v * mode.w.conjugate()).real)
-    if flip_b_sign:
-        width = -width
     bracket = math.cosh(squeeze.r) + math.sinh(squeeze.r) * cmath.exp(
         1j * (2.0 * params.omega * t + squeeze.phi)
     )
@@ -159,14 +142,7 @@ def gauss_coeffs(
     return GaussCoeffs(A=a_coeff, c=width, theta=theta)
 
 
-def eval_number_state(
-    params: PhysicalParams,
-    spec: StateSpec,
-    t: float,
-    q,
-    *,
-    flip_b_sign: bool = False,
-):
+def eval_number_state(params: PhysicalParams, spec: StateSpec, t: float, q):
     """Evaluate the squeezed number state Psi_n(q, t, r, phi).
 
     For r = 0 this is the pseudo-stationary family: eigenstates of the
@@ -175,7 +151,7 @@ def eval_number_state(
     """
     if spec.kind != "number":
         raise ValueError(f"expected a number-state spec, got kind {spec.kind!r}")
-    coeffs = gauss_coeffs(params, spec.squeeze, t, flip_b_sign=flip_b_sign)
+    coeffs = gauss_coeffs(params, spec.squeeze, t)
     n = spec.n
     norm = (2.0**n * math.factorial(n)) ** -0.5 * (coeffs.A / math.sqrt(math.pi)) ** 0.5
     phase = cmath.exp(-1j * coeffs.theta * (n + 0.5))
@@ -184,14 +160,7 @@ def eval_number_state(
     return complex(psi) if x.ndim == 0 else psi
 
 
-def eval_coherent_state(
-    params: PhysicalParams,
-    spec: StateSpec,
-    t: float,
-    q,
-    *,
-    flip_b_sign: bool = False,
-):
+def eval_coherent_state(params: PhysicalParams, spec: StateSpec, t: float, q):
     """Evaluate the coherent state displaced to (q_c, p_c) at time t.
 
     The wave function is
@@ -206,7 +175,7 @@ def eval_coherent_state(
     """
     if spec.kind != "coherent":
         raise ValueError(f"expected a coherent-state spec, got kind {spec.kind!r}")
-    coeffs = gauss_coeffs(params, spec.squeeze, t, flip_b_sign=flip_b_sign)
+    coeffs = gauss_coeffs(params, spec.squeeze, t)
     q_c, p_c = spec.q_c, spec.p_c
     front = (
         (coeffs.A / math.sqrt(math.pi)) ** 0.5

@@ -53,6 +53,7 @@ from ckstates.oracle import (
     schrodinger_residual,
     _cn_grid,
     _l2,
+    _sample,
 )
 
 RNG_SEED = 20260813
@@ -403,9 +404,7 @@ def test_12_flipped_width_negative_control(tmp_path, capsys):
         residual = schrodinger_residual(
             P_STAR, StateSpec.number(0, NO_SQUEEZE), 0.9, grid, flip_b_sign=True
         )
-        psi = eval_number_state(
-            P_STAR, StateSpec.number(0, NO_SQUEEZE), 0.9, grid.points(), flip_b_sign=True
-        )
+        psi = _sample(P_STAR, StateSpec.number(0, NO_SQUEEZE), 0.9, grid.points(), True)
         norm = float(simpson(np.abs(psi) ** 2, dx=grid.dq))
     norm_broken = not abs(norm - 1.0) <= 1e-6
     report_path = tmp_path / "flipped.json"

@@ -127,15 +127,15 @@ def test_scalar_time_gives_python_scalars(t):
 
 
 def test_array_time_gives_arrays_of_its_shape():
-    ts = np.linspace(0.0, 3.0, 12).reshape(3, 4)
     squeeze = SqueezeParams(0.5, 1.0)
-    mode = mode_u_rphi(P_STAR, squeeze, ts)
-    assert mode.v.shape == mode.w.shape == ts.shape
-    assert mode.v.dtype == complex
-    rec = uncertainty_product(P_STAR, 0, squeeze, ts)
-    assert rec.product.shape == ts.shape and type(rec.bound) is float
-    assert hamiltonian_expectation(P_STAR, 0, squeeze, ts).shape == ts.shape
-    assert all(x.shape == ts.shape for x in coherent_trajectory(P_STAR, squeeze, 1.0, ts))
+    for ts in (np.linspace(0.0, 3.0, 12).reshape(3, 4), np.array([])):
+        mode = mode_u_rphi(P_STAR, squeeze, ts)
+        assert mode.v.shape == mode.w.shape == ts.shape
+        assert mode.v.dtype == complex
+        rec = uncertainty_product(P_STAR, 0, squeeze, ts)
+        assert rec.product.shape == ts.shape and type(rec.bound) is float
+        assert hamiltonian_expectation(P_STAR, 0, squeeze, ts).shape == ts.shape
+        assert all(x.shape == ts.shape for x in coherent_trajectory(P_STAR, squeeze, 1.0, ts))
 
 
 @pytest.mark.parametrize("t", [600.0, -600.0, -1000.0])

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -292,6 +293,16 @@ def test_out_writes_file_instead_of_stdout(tmp_path, capsys):
     lines = target.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0].startswith("t [time]")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("command", [["uncertainty", "--nt", "2"], ["validate"]])
+def test_unwritable_out_exits_2(command, tmp_path, capsys):
+    # A missing directory and a directory itself: one error line, exit 2.
+    for target in (tmp_path / "missing" / "x", tmp_path):
+        rc, out, err = run_cli(command + ["--out", str(target)], capsys)
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: cannot write {target}: [Errno ")
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -619,3 +630,10 @@ def test_closed_stdout_pipe_is_quiet(monkeypatch, capsys):
 
     monkeypatch.setattr("sys.stdout.write", broken)
     assert main(["uncertainty", "--nt", "2"]) == 0
+    # So must --out naming a pipe whose reader has gone.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        assert main(["uncertainty", "--nt", "2", "--out", f"/dev/fd/{write_end}"]) == 0
+    finally:
+        os.close(write_end)

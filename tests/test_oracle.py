@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -42,6 +43,7 @@ from ckstates.oracle import (
     _frame_params,
     _in_frame,
     _l2,
+    _sample,
     simpson as oracle_simpson,
 )
 
@@ -171,8 +173,8 @@ def test_moments_first_excited_parity():
 
 def test_moments_warns_on_broken_normalization():
     grid = make_grid(P_STAR, GROUND, 0.7, n_points=8193)
-    psi = eval_number_state(P_STAR, GROUND, 0.7, grid.points(), flip_b_sign=True)
     with np.errstate(over="ignore", invalid="ignore"):
+        psi = _sample(P_STAR, GROUND, 0.7, grid.points(), True)
         m = moments(P_STAR, psi, grid, t=0.7)
     assert m.warning is not None and "norm" in m.warning
 
@@ -783,6 +785,37 @@ def test_validate_raising_check_fails_every_entry_of_its_kind():
 def test_validate_rejects_unknown_check():
     with pytest.raises(ValueError):
         validate(P_STAR, schedule=(Check("no_such_check", ()),))
+
+
+def test_flip_b_sign_negates_width():
+    # The control's ground state is e^{+B q^2}: its density grows like
+    # e^{+A^2 q^2} away from q = 0, where the state's decays like e^{-A^2 q^2}.
+    squeeze = SqueezeParams(0.3, 1.0)
+    spec = StateSpec.number(0, squeeze)
+    q = np.linspace(0.0, 4.0, 9)
+    x2 = (gauss_coeffs(P_STAR, squeeze, 0.7).A * q) ** 2
+    plain = _sample(P_STAR, spec, 0.7, q, False)
+    assert np.array_equal(plain, eval_number_state(P_STAR, spec, 0.7, q))
+    with np.errstate(over="ignore", invalid="ignore"):
+        flipped = _sample(P_STAR, spec, 0.7, q, True)
+    assert x2[-1] > 10.0
+    for psi, sign in ((plain, -1.0), (flipped, 1.0)):
+        density = np.abs(psi) ** 2
+        np.testing.assert_allclose(density / density[0], np.exp(sign * x2), rtol=1e-12)
+
+
+def test_flip_control_passes_only_the_width_blind_checks():
+    # Wronskians and period averages read no sampled state, and the
+    # Bogoliubov identity holds for any psi; every other entry must turn red.
+    report = validate(P_STAR, flip_b_sign=True)
+    green = Counter(e.check_name for e in report.entries if e.passed)
+    assert green == {
+        "wronskian": 9,
+        "time_average_lower_bound": 4,
+        "time_average_closed_form_gap": 3,
+        "ladder_bogoliubov": 1,
+    }
+    assert report.summary == {"total": 88, "passed": 17, "failed": 71, "skipped": 0}
 
 
 def test_validate_flip_control_turns_red():

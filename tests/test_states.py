@@ -80,11 +80,6 @@ def test_continuous_theta_is_jump_free():
     assert np.max(np.abs(np.diff(thetas))) < 0.1
 
 
-def test_flip_b_sign_negates_width():
-    coeffs = gauss_coeffs(P_STAR, SqueezeParams(0.3, 1.0), 0.7, flip_b_sign=True)
-    assert coeffs.B.real < 0.0
-
-
 def test_state_spec_validation():
     sq = SqueezeParams(0.0, 0.0)
     with pytest.raises(ValueError):
