@@ -14,6 +14,7 @@ import math
 import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from functools import cache
 
@@ -155,23 +156,25 @@ def _read_tolerances(path: str | None) -> ToleranceConfig:
     return replace(ToleranceConfig(), **overrides)
 
 
-def _write(chunks, out: str | None) -> None:
-    """Write strings to the file ``out``, or to stdout.
+@contextmanager
+def _output(out: str | None):
+    """Open the file ``out`` for writing, or take stdout, and yield its
+    ``write``.
 
-    A file that cannot be opened or written is a usage error.
+    The file is opened before the body runs, so an unwritable ``out``
+    fails before any output is computed.  A file that cannot be opened or
+    written is a usage error.
     """
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as handle:
-                for chunk in chunks:
-                    handle.write(chunk)
-        except BrokenPipeError:
-            raise
-        except OSError as exc:
-            raise UsageError(f"cannot write {out}: {exc}") from exc
-    else:
-        for chunk in chunks:
-            sys.stdout.write(chunk)
+    if not out:
+        yield sys.stdout.write
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as handle:
+            yield handle.write
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
 def _write_table(columns: tuple, units: tuple, data: tuple, cfg: RunConfig) -> None:
@@ -190,14 +193,10 @@ def _write_table(columns: tuple, units: tuple, data: tuple, cfg: RunConfig) -> N
         header = json.dumps({"columns": list(columns), "units": list(units)})
         keys = [f"{json.dumps(c)}: " for c in columns]
         literals = ["{" + keys[0], *(", " + key for key in keys[1:]), "}\n"]
-    n_rows = len(data[0])
-
-    def chunks():
-        yield header + "\n"
-        for start in range(0, n_rows, TABLE_CHUNK_ROWS):
-            yield rows_text(literals, [col[start : start + TABLE_CHUNK_ROWS] for col in data])
-
-    _write(chunks(), cfg.out)
+    with _output(cfg.out) as write:
+        write(header + "\n")
+        for start in range(0, len(data[0]), TABLE_CHUNK_ROWS):
+            write(rows_text(literals, [col[start : start + TABLE_CHUNK_ROWS] for col in data]))
 
 
 def _params_squeeze(cfg: RunConfig):
@@ -325,9 +324,9 @@ def cmd_validate(cfg: RunConfig) -> int:
     """Run the validation suite; exit 0 iff every non-skipped check passes."""
     params, _ = _params_squeeze(cfg)
     tolerances = _read_tolerances(cfg.tol_overrides)
-    report = validate(params, tolerances=tolerances, flip_b_sign=cfg.flip_b_sign)
-    text = report.to_json() if cfg.format == "json" else report.to_table()
-    _write([text + "\n"], cfg.out)
+    with _output(cfg.out) as write:
+        report = validate(params, tolerances=tolerances, flip_b_sign=cfg.flip_b_sign)
+        write((report.to_json() if cfg.format == "json" else report.to_table()) + "\n")
     return 0 if report.all_passed else 1
 
 

@@ -3,13 +3,13 @@
 Nothing in this module trusts the closed-form moments: position moments
 come from composite Simpson quadrature of sampled wave functions,
 momentum moments from spectral (FFT) derivatives, time derivatives from
-a Richardson-extrapolated stencil, and time evolution from a
-Crank-Nicolson propagator with the compact 4th-order (Numerov) Laplacian,
-run in the coordinate Q = e^{gamma t/2} q that maps the Caldirola-Kanai
-equation exactly onto an undamped oscillator, on a grid sized from the
-packet's narrowest spread in that frame.  That oscillator's Hamiltonian
-is constant, so the Crank-Nicolson matrix is LU-factored once per
-propagation; LAPACK is imported only then.
+a Richardson-extrapolated stencil, and time evolution from a fourth-order
+(Pade 2,2) Crank-Nicolson propagator with the compact 4th-order (Numerov)
+Laplacian, run in the coordinate Q = e^{gamma t/2} q that maps the
+Caldirola-Kanai equation exactly onto an undamped oscillator, on a grid
+sized from the packet's narrowest spread in that frame.  That
+oscillator's Hamiltonian is constant, so the two stage matrices are
+LU-factored once per propagation; LAPACK is imported only then.
 Agreement between these routes and the closed-form layer is what
 :func:`validate` certifies.
 
@@ -90,8 +90,8 @@ BOUNDARY_LEAK_TOL = 1e-8
 # period, with this many points per narrowest spread, capped at
 # CN_MAX_POINTS.  The frame spreads range over at most a factor e^{2r},
 # whatever the damping, so r = 0.5 gets 2049 points (31 per narrowest
-# spread) at every gamma, and the fidelity deficit at 4000 steps over the
-# CN_PERIODS window is near 1.4e-10, far under the 1e-6 tolerance.
+# spread) at every gamma, and the fidelity deficit at 500 steps over the
+# CN_PERIODS window is below 1e-13, far under the 1e-6 tolerance.
 CN_POINTS_PER_SPREAD = 16
 CN_MAX_POINTS = 32769
 
@@ -390,12 +390,13 @@ def schrodinger_residual(
 
 
 def solve_banded(factor: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve L x = rhs for one Crank-Nicolson step, overwriting ``rhs``.
+    """Solve L x = rhs for one stage of a Crank-Nicolson step, overwriting ``rhs``.
 
     ``factor`` is LAPACK ``zgttrs`` followed by the LU factor of the
-    tridiagonal L from ``zgttrf``, as :func:`crank_nicolson_evolve`
-    computes it once per propagation.  The solution is written into
-    ``rhs`` and returned; ``rhs`` must be a contiguous complex128 vector.
+    tridiagonal stage matrix L from ``zgttrf``, as
+    :func:`crank_nicolson_evolve` computes it once per propagation for each
+    of its two stages.  The solution is written into ``rhs`` and returned;
+    ``rhs`` must be a contiguous complex128 vector.
     """
     gttrs, *lu = factor
     return gttrs(*lu, rhs, overwrite_b=1)[0]
@@ -409,25 +410,38 @@ def crank_nicolson_evolve(
     t1: float,
     n_steps: int,
 ) -> np.ndarray:
-    """Propagate samples from t0 to t1 with unitary Crank-Nicolson steps
-    under the time-independent Hamiltonian of undamped ``params``.
+    """Propagate samples from t0 to t1 with unitary fourth-order
+    Crank-Nicolson steps under the time-independent Hamiltonian of
+    undamped ``params``.
 
     The Laplacian is the compact 4th-order (Numerov) form M^{-1} D / dq^2
     with D = tridiag(1, -2, 1) and M = tridiag(1, 10, 1)/12, under
-    Dirichlet-zero boundaries.  Multiplying both Crank-Nicolson sides by
-    M keeps them tridiagonal: L = M + (i dt/2)(-kin D/dq^2 + M V) on the
-    left and its complex conjugate on the right, since M, D and V are
-    real.  M and D commute, so the discrete Hamiltonian is real symmetric
-    and each step is exactly unitary.  H is constant, so L is LU-factored
-    once (LAPACK ``zgttrf``) and each step is one :func:`solve_banded`,
-    in place, into a buffer that then trades roles with the samples.
-    Requires at least 1000 steps per period pi/omega.  Damped parameters
-    are refused: :func:`cn_cross_check` propagates in the undamped frame.
+    Dirichlet-zero boundaries.  M and D commute, so the discrete
+    Hamiltonian H = hbar M^{-1} A, with A = -kin D/dq^2 + M V real and
+    tridiagonal, is real symmetric.  A step applies the (2,2) diagonal
+    Pade approximant of e^z, z = -i dt H/hbar, the generalized
+    Crank-Nicolson scheme of W. van Dijk and F. M. Toyama, Phys. Rev. E 75
+    (2007) 036707:
+
+        R(z) = (1 + z/2 + z^2/12)/(1 - z/2 + z^2/12)
+             = prod_j (1 - z/zhat_j)/(1 - z/z_j),
+
+    z_j = 3 +- i sqrt(3), zhat_j = -conj(z_j).  Its error per step is
+    O(dt^5), so the propagation is fourth order.  Multiplying each stage
+    by M keeps it tridiagonal: rhs = (M + i dt A/zhat_j) psi, then solve
+    L_j x = rhs with L_j = M + i dt A/z_j, whose elementwise conjugate is
+    the right-hand matrix.  Each stage is therefore exactly unitary by
+    itself.  H is constant, so the two L_j are LU-factored once (LAPACK
+    ``zgttrf``) and each step is two :func:`solve_banded` calls, in place,
+    into a buffer that then trades roles with the samples.  Requires at
+    least 250 steps per period pi/omega.  Damped parameters are refused:
+    :func:`cn_cross_check` propagates in the undamped frame.
 
     The boundary-leak guard covers every step.  Each step keeps its 5 + 5
-    edge samples, and their masses are evaluated together once per block
-    of 256 steps and after the last step, so a leak raises at the end of
-    its block, with the mass and time of the first step that leaked.
+    edge samples after its second stage, and their masses are evaluated
+    together once per block of 256 steps and after the last step, so a
+    leak raises at the end of its block, with the mass and time of the
+    first step that leaked.
 
     Raises
     ------
@@ -448,10 +462,10 @@ def crank_nicolson_evolve(
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got t0={t0}, t1={t1}")
     # An integer is below this floor iff below its ceiling; the floor may be inf.
-    min_steps = 1000.0 * (t1 - t0) / (math.pi / params.omega)
+    min_steps = 250.0 * (t1 - t0) / (math.pi / params.omega)
     if n_steps < min_steps:
         raise ValueError(
-            f"n_steps={n_steps} is below 1000 per period pi/omega (need >= {min_steps!r})"
+            f"n_steps={n_steps} is below 250 per period pi/omega (need >= {min_steps!r})"
         )
     q = grid.points()
     psi = np.asarray(psi0, dtype=complex).copy()
@@ -460,23 +474,23 @@ def crank_nicolson_evolve(
     from scipy.linalg.lapack import zgttrf, zgttrs
 
     dt = (t1 - t0) / n_steps
-    half = 0.5 * dt
-    # (dt/2) kin/dq^2 with the kinetic prefactor kin = hbar/(2 m0) of H/hbar,
-    # and V/12 with V = m0 omega0^2 q^2 / (2 hbar), its potential profile.
-    kin = half * params.hbar / (2.0 * params.m0 * grid.dq**2)
+    # Column j of A = M H/hbar holds V_j/12 - kin off the diagonal and 10 V_j/12
+    # + 2 kin on it: kin = hbar/(2 m0 dq^2), V = m0 omega0^2 q^2/(2 hbar).
+    kin = params.hbar / (2.0 * params.m0 * grid.dq**2)
     pot12 = (params.m0 * params.omega0**2 / (24.0 * params.hbar)) * q * q
-    # Column j of L holds 1/12 + i (dt/2)(V_j/12 - kin/dq^2) off the
-    # diagonal and 10/12 + i (dt/2)(10 V_j/12 + 2 kin/dq^2) on it.
-    off_imag = pot12 * half - kin
-    off = 1.0 / 12.0 + 1j * off_imag
-    diag = 10.0 / 12.0 + 1j * (off_imag * 10.0 + 12.0 * kin)
-    *lu, info = zgttrf(off[:-1], diag, off[1:])
-    if info != 0:
-        raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
-    factor = (zgttrs, *lu)
-    # rhs = conj(L) psi.  The solve overwrites rhs, which becomes psi, so the
-    # two buffers trade roles each step; their shifted views are made once.
-    diag_conj, off_conj = diag.conjugate(), off.conjugate()
+    a_off, a_diag = pot12 - kin, pot12 * 10.0 + 2.0 * kin
+    # Stage j solves (M + i dt A/z_j) x = (M + i dt A/zhat_j) psi with
+    # zhat_j = -conj(z_j), so its right-hand matrix is the conjugate of its left.
+    stages = []
+    for z in (complex(3.0, math.sqrt(3.0)), complex(3.0, -math.sqrt(3.0))):
+        off = 1.0 / 12.0 + (1j * dt / z) * a_off
+        diag = 10.0 / 12.0 + (1j * dt / z) * a_diag
+        *lu, info = zgttrf(off[:-1], diag, off[1:])
+        if info != 0:
+            raise np.linalg.LinAlgError("singular Pade stage matrix")
+        stages.append(((zgttrs, *lu), diag.conjugate(), off.conjugate()))
+    # The solve overwrites rhs, which becomes psi, so the two buffers trade
+    # roles each stage; their shifted views are made once.
     side = np.empty_like(psi)
     side_head, side_tail = side[:-1], side[1:]
     rhs_views, psi_views = ((buf, buf[:-1], buf[1:]) for buf in (np.empty_like(psi), psi))
@@ -485,13 +499,14 @@ def crank_nicolson_evolve(
     for start in range(0, n_steps, _EDGE_BLOCK):
         block = edges[: min(_EDGE_BLOCK, n_steps - start)]
         for row in block:
-            rhs, rhs_head, rhs_tail = rhs_views
-            np.multiply(diag_conj, psi, out=rhs)
-            np.multiply(off_conj, psi, out=side)
-            np.add(rhs_head, side_tail, out=rhs_head)
-            np.add(rhs_tail, side_head, out=rhs_tail)
-            psi = solve_banded(factor, rhs)
-            rhs_views, psi_views = psi_views, rhs_views
+            for factor, diag_conj, off_conj in stages:
+                rhs, rhs_head, rhs_tail = rhs_views
+                np.multiply(diag_conj, psi, out=rhs)
+                np.multiply(off_conj, psi, out=side)
+                np.add(rhs_head, side_tail, out=rhs_head)
+                np.add(rhs_tail, side_head, out=rhs_tail)
+                psi = solve_banded(factor, rhs)
+                rhs_views, psi_views = psi_views, rhs_views
             # In range anyway; "clip" writes into row where "raise" buffers.
             psi.take(edge_index, out=row, mode="clip")
         _check_edge_mass(block, grid.dq, t0, start, dt)
@@ -1003,7 +1018,7 @@ def default_schedule(params: PhysicalParams) -> tuple:
     for n in (1, 2, 3, 4):
         checks.append(Check("ladder_step", (n, 0.5, 1.0, 0.6)))
     checks.append(Check("ladder_bogoliubov", (0.8, 2.5, 1.2)))
-    checks.append(Check("cn_fidelity", (0.5, 1.0, 4000)))
+    checks.append(Check("cn_fidelity", (0.5, 1.0, 500)))
     for n in (0, 1, 2):
         checks.append(Check("sim_wave", (n,)))
     for alpha_re, alpha_im, r, phi, t in (

@@ -14,7 +14,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.integrate import simpson
 
 from ckstates.cli import main as cli_main
@@ -37,7 +36,6 @@ from ckstates.observables import (
 )
 from ckstates.states import (
     StateSpec,
-    alpha_from_point,
     coherent_trajectory,
     eval_coherent_state,
     eval_number_state,
@@ -48,6 +46,7 @@ from ckstates.oracle import (
     apply_annihilation,
     apply_creation,
     cn_cross_check,
+    default_schedule,
     make_grid,
     moments,
     schrodinger_residual,
@@ -228,14 +227,17 @@ def test_05_schrodinger_residuals():
 
 
 def test_06_crank_nicolson_cross_check():
+    # At the default schedule's step count, which validate runs.
+    (n_steps,) = [c.args[2] for c in default_schedule(P_STAR) if c.name == "cn_fidelity"]
     squeeze = SqueezeParams(0.5, 1.0)
     start = time.perf_counter()
-    deficit, drift = cn_cross_check(P_STAR, squeeze, 4000)
+    deficit, drift = cn_cross_check(P_STAR, squeeze, n_steps)
     elapsed = time.perf_counter() - start
     ok = deficit <= 1e-6 and drift < 1e-8 and elapsed < 60.0
     detail = (
         f"fidelity deficit = {deficit:.3e} (tol 1e-6), norm drift = "
         f"{drift:.3e} (tol 1e-8), {_cn_grid(P_STAR, squeeze).n_points} points, "
+        f"{n_steps} steps, "
         f"{elapsed:.1f} s (limit 60 s)"
     )
     assert _verdict("grid evolution cross-check", ok, detail), detail

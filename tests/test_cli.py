@@ -296,8 +296,13 @@ def test_out_writes_file_instead_of_stdout(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [["uncertainty", "--nt", "2"], ["validate"]])
-def test_unwritable_out_exits_2(command, tmp_path, capsys):
-    # A missing directory and a directory itself: one error line, exit 2.
+def test_unwritable_out_exits_2(command, tmp_path, capsys, monkeypatch):
+    # A missing directory and a directory itself: one error line, exit 2,
+    # before the validation suite runs.
+    def unreached(*args, **kwargs):
+        raise AssertionError("validate ran before --out was opened")
+
+    monkeypatch.setattr("ckstates.cli.validate", unreached)
     for target in (tmp_path / "missing" / "x", tmp_path):
         rc, out, err = run_cli(command + ["--out", str(target)], capsys)
         assert rc == 2 and out == ""

@@ -400,7 +400,7 @@ def test_cn_round_trip_fidelity():
     grid = GridSpec(-half, half, 8193)
     Q = grid.points()
     psi0 = _in_frame(P_STAR, GROUND, 0.0, Q)
-    evolved = crank_nicolson_evolve(_frame_params(P_STAR), psi0, grid, 0.0, period, 1000)
+    evolved = crank_nicolson_evolve(_frame_params(P_STAR), psi0, grid, 0.0, period, 250)
     ref = _in_frame(P_STAR, GROUND, period, Q)
     overlap = complex(simpson(ref.conjugate() * evolved, dx=grid.dq))
     assert abs(1.0 - abs(overlap) ** 2) < 1e-6
@@ -411,21 +411,22 @@ def test_cn_round_trip_fidelity():
     assert drift < 1e-8
 
 
-def test_cn_second_order_in_time():
-    # Fidelity deficit is the squared orthogonal error, so halving dt
-    # shrinks it by at least 4x once above the spatial floor (observed
-    # ratio 16.0 on the sized 2049-point grid).  The 1.37-period window
-    # takes 1000 and 2000 steps per period.
-    squeeze = SqueezeParams(0.5, 1.0)
-    deficits = [cn_cross_check(P_STAR, squeeze, n_steps)[0] for n_steps in (1370, 2740)]
-    assert deficits[0] / deficits[1] > 3.5
+def test_cn_fourth_order_in_time():
+    # The fidelity deficit is the squared orthogonal error, so halving dt
+    # divides it by about 2^8 = 256 above the spatial floor; a second-order
+    # step gives 16.  The 1.37-period window takes 250 and 500 steps per
+    # period.  At r = 0.5 both deficits sit at the spatial floor (~1e-13),
+    # so the squeeze is r = 1 (4097 points; observed 6.1e-9 -> 2.6e-11, 231x).
+    squeeze = SqueezeParams(1.0, 1.0)
+    deficits = [cn_cross_check(P_STAR, squeeze, n_steps)[0] for n_steps in (343, 686)]
+    assert deficits[0] / deficits[1] > 128.0
     assert deficits[1] < 1e-7
 
 
 def test_cn_fourth_order_in_space():
     # The Numerov Laplacian has a 4th-order error, so the deficit (its
     # square) shrinks by about 256x when dq halves; a 3-point Laplacian
-    # gives about 16x.  8000 steps put the time error well below both.
+    # gives about 16x.  250 steps put the time error well below both.
     # The frame packet is resolved to that time floor on the cross-check
     # grid, so the box is 4x as wide (observed ratio 262).
     squeeze = SqueezeParams(0.5, 1.0)
@@ -437,11 +438,45 @@ def test_cn_fourth_order_in_space():
         grid = GridSpec(4.0 * box.q_min, 4.0 * box.q_max, n_points)
         Q = grid.points()
         psi0 = _in_frame(P_STAR, spec, 0.0, Q)
-        evolved = crank_nicolson_evolve(_frame_params(P_STAR), psi0, grid, 0.0, period, 8000)
+        evolved = crank_nicolson_evolve(_frame_params(P_STAR), psi0, grid, 0.0, period, 250)
         ref = _in_frame(P_STAR, spec, period, Q)
         overlap = complex(simpson(ref.conjugate() * evolved, dx=grid.dq))
         deficits.append(abs(1.0 - abs(overlap) ** 2))
     assert deficits[0] / deficits[1] >= 64.0
+
+
+def test_cn_matches_the_exact_exponential_of_its_generator():
+    # Against exp(-i t G) of the dense discrete generator G = M^{-1} A =
+    # -hbar/(2 m0) M^{-1} D/dq^2 + V itself, so no spatial error enters: the
+    # step error alone falls as dt^4 (observed 16.0x per halving, 1.6e-7 at
+    # 125 steps), and each stage is unitary, so the norm holds at every
+    # step count.  G is real symmetric (M and D commute), so its exponential
+    # is taken by eigendecomposition, which agrees with scipy.linalg.expm to
+    # 5e-13 here at an eighth of the cost.  A moving packet keeps the time
+    # error above the box's own content in the stiff modes.
+    from scipy.linalg import eigh
+
+    params = make_params(1.0, 0.0, 1.0, 1.0)
+    grid = GridSpec(-8.0, 8.0, 513)
+    q = grid.points()
+    ones = np.ones(q.size - 1)
+    D = np.diag(ones, -1) - 2.0 * np.eye(q.size) + np.diag(ones, 1)
+    M = np.diag(ones, -1) + 10.0 * np.eye(q.size) + np.diag(ones, 1)
+    G = -0.5 * np.linalg.solve(M / 12.0, D) / grid.dq**2 + np.diag(0.5 * q * q)
+    energies, modes = eigh(G)
+    psi0 = math.pi**-0.25 * np.exp(-0.5 * q * q + 2j * q)
+    t1 = 0.5 * math.pi
+    exact = modes @ (np.exp(-1j * t1 * energies) * (modes.T @ psi0))
+    # Relative errors in the Euclidean norm, which a unitary step keeps.
+    norm0 = np.linalg.norm(psi0)
+    errors = []
+    for n_steps in (125, 250, 500):
+        evolved = crank_nicolson_evolve(params, psi0, grid, 0.0, t1, n_steps)
+        errors.append(np.linalg.norm(evolved - exact) / norm0)
+        assert abs(np.linalg.norm(evolved) / norm0 - 1.0) < 1e-13
+    assert errors[0] < 1e-6
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 12.0 < coarse / fine < 20.0
 
 
 def test_cn_grid_sized_from_narrowest_spread():
@@ -459,11 +494,11 @@ def test_cn_grid_sized_from_narrowest_spread():
 def test_cn_frame_resolves_strong_damping():
     # In q the packet narrows about 650x (gamma/(2 omega0) = 0.9) and
     # 1e6x (0.975) within a period; in the frame it keeps its width, so
-    # the deficit stays at the undamped level.  5480 steps over the
-    # 1.37-period window are 4000 per period (deficit 3.9e-11 at each gamma).
+    # the deficit stays at the undamped level.  The schedule's 500 steps
+    # over the 1.37-period window give deficits of 1.8e-14 to 4.8e-14.
     squeeze = SqueezeParams(0.5, 1.0)
     for gamma in (0.0, 1.8, 1.95):
-        deficit, drift = cn_cross_check(make_params(1.0, gamma, 1.0, 1.0), squeeze, 5480)
+        deficit, drift = cn_cross_check(make_params(1.0, gamma, 1.0, 1.0), squeeze, 500)
         assert deficit < 1e-10
         assert drift < 1e-11
 
@@ -480,7 +515,7 @@ def test_cn_frame_matches_closed_form_mid_period():
         grid = _cn_grid(params, squeeze)
         Q = grid.points()
         phi0 = _in_frame(params, spec, 0.0, Q)
-        evolved = crank_nicolson_evolve(_frame_params(params), phi0, grid, 0.0, t1, 2000)
+        evolved = crank_nicolson_evolve(_frame_params(params), phi0, grid, 0.0, t1, 100)
         ref = _in_frame(params, spec, t1, Q)
         overlap = complex(simpson(ref.conjugate() * evolved, dx=grid.dq))
         assert abs(1.0 - abs(overlap) ** 2) < 1e-10
@@ -490,14 +525,15 @@ def test_cn_frame_matches_closed_form_mid_period():
 def test_cn_undamped_coherent_orbit_closes():
     # One full period at gamma = 0 returns the packet to its starting
     # point.  The position mean closes to stencil accuracy; the momentum
-    # mean carries the 2nd-order time error (4.2e-5 at this step count,
-    # shrinking by 4x per step doubling), so its gate is looser.
+    # mean carries the 4th-order time error (3.1e-8 at this step count,
+    # the floor of 250 per period, shrinking by 16x per step doubling), so
+    # its gate is looser.
     params = make_params(1.0, 0.0, 1.0, 1.0)
     q_c0 = 1.131370849898476
     spec = StateSpec.coherent(q_c0, 0.0, NO_SQUEEZE)
     grid = GridSpec(-9.7, 9.7, 8193)
     psi0 = eval_coherent_state(params, spec, 0.0, grid.points())
-    evolved = crank_nicolson_evolve(params, psi0, grid, 0.0, 2.0 * math.pi, 2400)
+    evolved = crank_nicolson_evolve(params, psi0, grid, 0.0, 2.0 * math.pi, 500)
     m = moments(params, evolved, grid, t=2.0 * math.pi)
     assert abs(m.q_mean - q_c0) < 1e-7
     assert abs(m.p_mean) < 1e-4
@@ -518,7 +554,7 @@ def test_cn_rejects_coarse_stepping():
     params = _frame_params(P_STAR)
     grid = GridSpec(-8.0, 8.0, 513)
     psi0 = eval_number_state(params, GROUND, 0.0, grid.points())
-    with pytest.raises(ValueError, match="below 1000 per period"):
+    with pytest.raises(ValueError, match="below 250 per period"):
         crank_nicolson_evolve(params, psi0, grid, 0.0, 0.5, 10)
     with pytest.raises(ValueError, match="t1 > t0"):
         crank_nicolson_evolve(params, psi0, grid, 0.5, 0.5, 100)
@@ -528,21 +564,21 @@ def test_cn_accepts_the_ceiling_of_its_step_floor():
     params = _frame_params(P_STAR)
     grid = GridSpec(-8.0, 8.0, 513)
     psi0 = eval_number_state(params, GROUND, 0.0, grid.points())
-    floor = 1000.0 * 0.5 / (math.pi / params.omega)
+    floor = 250.0 * 0.5 / (math.pi / params.omega)
     ceiling = math.ceil(floor)
     assert ceiling > floor
     crank_nicolson_evolve(params, psi0, grid, 0.0, 0.5, ceiling)
-    with pytest.raises(ValueError, match="below 1000 per period"):
+    with pytest.raises(ValueError, match="below 250 per period"):
         crank_nicolson_evolve(params, psi0, grid, 0.0, 0.5, ceiling - 1)
 
 
 @pytest.mark.parametrize("t0, t1", [(-1e308, 1e308), (0.0, 1e306)])
 def test_cn_rejects_a_finite_window_whose_step_floor_overflows(t0, t1):
-    # 1000 (t1 - t0)/period is inf here; its ceiling is no integer.
+    # 250 (t1 - t0)/period is inf here; its ceiling is no integer.
     params = _frame_params(P_STAR)
     grid = GridSpec(-8.0, 8.0, 513)
     psi0 = eval_number_state(params, GROUND, 0.0, grid.points())
-    with pytest.raises(ValueError, match="below 1000 per period") as excinfo:
+    with pytest.raises(ValueError, match="below 250 per period") as excinfo:
         crank_nicolson_evolve(params, psi0, grid, t0, t1, 10**6)
     assert "\n" not in str(excinfo.value)
 
@@ -565,28 +601,34 @@ def test_cn_refuses_damped_params():
 
 
 def _per_step_cn(params, psi0, grid, t0, t1, n_steps):
-    """Reference propagation: the bands of L written out and scipy's
-    solve_banded, which refactors L at every step.  Yields the samples
-    and the time after each step."""
+    """Reference propagation: the two Pade(2,2) stages of each step, with the
+    bands of each stage matrix L_j = M + (i dt/z_j) A written out, the
+    right-hand matrix their conjugate, and scipy's solve_banded, which
+    refactors L_j at every solve.  Yields the samples and the time after
+    each step."""
     from scipy.linalg import solve_banded
 
     Q = grid.points()
     dt = (t1 - t0) / n_steps
-    half = 0.5 * dt
-    kin = half * params.hbar / (2.0 * params.m0 * grid.dq**2)
+    kin = params.hbar / (2.0 * params.m0 * grid.dq**2)
     pot12 = (params.m0 * params.omega0**2 / (24.0 * params.hbar)) * Q * Q
-    ab = np.empty((3, Q.size), dtype=complex)
-    ab.real[0] = ab.real[2] = 1.0 / 12.0
-    ab.real[1] = 10.0 / 12.0
-    ab.imag[0] = ab.imag[2] = pot12 * half - kin
-    ab.imag[1] = ab.imag[0] * 10.0 + 12.0 * kin
+    bands = []
+    for z in (complex(3.0, math.sqrt(3.0)), complex(3.0, -math.sqrt(3.0))):
+        w = 1j * dt / z
+        ab = np.empty((3, Q.size), dtype=complex)
+        ab.real[0] = ab.real[2] = 1.0 / 12.0 + w.real * (pot12 - kin)
+        ab.imag[0] = ab.imag[2] = w.imag * (pot12 - kin)
+        ab.real[1] = 10.0 / 12.0 + w.real * (pot12 * 10.0 + 2.0 * kin)
+        ab.imag[1] = w.imag * (pot12 * 10.0 + 2.0 * kin)
+        bands.append(ab)
     psi = np.asarray(psi0, dtype=complex)
     for k in range(n_steps):
-        rhs = ab[1].conjugate() * psi
-        side = ab[0].conjugate() * psi
-        rhs[:-1] += side[1:]
-        rhs[1:] += side[:-1]
-        psi = solve_banded((1, 1), ab, rhs)
+        for ab in bands:
+            rhs = ab[1].conjugate() * psi
+            side = ab[0].conjugate() * psi
+            rhs[:-1] += side[1:]
+            rhs[1:] += side[:-1]
+            psi = solve_banded((1, 1), ab, rhs)
         yield psi, t0 + (k + 1) * dt
 
 
@@ -600,9 +642,9 @@ def test_cn_equals_per_step_solve_banded_bit_for_bit():
     phi0 = _in_frame(P_STAR, StateSpec.number(0, squeeze), 0.0, Q)
     phi0_bytes = phi0.tobytes()
     assert grid.n_points == 2049
-    # At least 1000 steps per period in each window.
+    # At least 250 steps per period in each window.
     for n_steps, periods in (
-        (1370, CN_PERIODS),
+        (500, CN_PERIODS),
         (_EDGE_BLOCK - 1, 0.25),
         (_EDGE_BLOCK, 0.25),
         (_EDGE_BLOCK + 1, 0.25),
@@ -616,8 +658,8 @@ def test_cn_equals_per_step_solve_banded_bit_for_bit():
         assert not np.shares_memory(evolved, phi0)
 
 
-def test_cn_calls_solve_banded_once_per_step(monkeypatch):
-    # The traced oracle.solve_banded counts one call per step.
+def test_cn_calls_solve_banded_twice_per_step(monkeypatch):
+    # The traced oracle.solve_banded counts one call per stage, two per step.
     calls = []
     solve = oracle.solve_banded
 
@@ -631,7 +673,7 @@ def test_cn_calls_solve_banded_once_per_step(monkeypatch):
     psi0 = eval_number_state(params, GROUND, 0.0, grid.points())
     n_steps = 2 * _EDGE_BLOCK + 7
     crank_nicolson_evolve(params, psi0, grid, 0.0, 0.5, n_steps)
-    assert len(calls) == n_steps
+    assert len(calls) == 2 * n_steps
 
 
 def _first_leak(params, psi0, grid, t0, t1, n_steps):
@@ -772,7 +814,7 @@ def test_validate_skips_sim_wave_without_damping():
 def test_validate_raising_check_fails_every_entry_of_its_kind():
     # The flipped width leaks through the CN boundary at once; cn_fidelity
     # reports two entries, so both must record the failure.
-    schedule = (Check("cn_fidelity", (0.5, 1.0, 4000)),)
+    schedule = (Check("cn_fidelity", (0.5, 1.0, 500)),)
     report = validate(P_STAR, schedule=schedule, flip_b_sign=True)
     assert [e.check_name for e in report.entries] == ["cn_fidelity", "cn_norm_drift"]
     for e in report.entries:
