@@ -56,11 +56,13 @@ GROUND = StateSpec.number(0, NO_SQUEEZE)
 
 
 def test_grid_spec_dq_and_points():
-    grid = GridSpec(-8.0, 8.0, 1025)
-    assert grid.dq == pytest.approx(16.0 / 1024.0, rel=1e-15)
-    q = grid.points()
-    assert q.shape == (1025,)
-    assert q[0] == -8.0 and q[-1] == 8.0
+    # Any odd count from the floor: 1045 is the Crank-Nicolson grid's at r = 0.5.
+    for n_points in (1025, 1045):
+        grid = GridSpec(-8.0, 8.0, n_points)
+        assert grid.dq == pytest.approx(16.0 / (n_points - 1), rel=1e-15)
+        q = grid.points()
+        assert q.shape == (n_points,)
+        assert q[0] == -8.0 and q[-1] == 8.0
 
 
 def test_grid_spec_rejects_bad_bounds():
@@ -74,12 +76,13 @@ def test_grid_spec_rejects_bad_bounds():
 
 
 def test_grid_spec_rejects_bad_point_counts():
-    with pytest.raises(ValueError):
-        GridSpec(-8.0, 8.0, 1024)  # not 2^k + 1
-    with pytest.raises(ValueError):
-        GridSpec(-8.0, 8.0, 1000)
-    with pytest.raises(ValueError):
+    for n_points in (1024, 1000):  # even
+        with pytest.raises(ValueError, match="odd integer"):
+            GridSpec(-8.0, 8.0, n_points)
+    with pytest.raises(ValueError, match=">= 513"):
         GridSpec(-8.0, 8.0, 257)  # below the floor
+    with pytest.raises(ValueError, match="got 1045.0"):
+        GridSpec(-8.0, 8.0, 1045.0)  # odd in value, but no integer
 
 
 def test_make_grid_ground_state_half_width():
@@ -177,6 +180,21 @@ def test_moments_warns_on_broken_normalization():
         psi = _sample(P_STAR, GROUND, 0.7, grid.points(), True)
         m = moments(P_STAR, psi, grid, t=0.7)
     assert m.warning is not None and "norm" in m.warning
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_moments_on_an_odd_grid_that_is_no_power_of_two(n):
+    # 1045 points, the Crank-Nicolson grid's count at r = 0.5: the spectral
+    # derivative runs over 1044 samples and still matches the closed form
+    # (observed 1.1e-14 at n = 0 and 6.4e-16 at n = 3).
+    squeeze = SqueezeParams(0.5, 1.0)
+    spec = StateSpec.number(n, squeeze)
+    grid = replace(make_grid(P_STAR, spec, 0.7), n_points=1045)
+    psi = eval_number_state(P_STAR, spec, 0.7, grid.points())
+    m = moments(P_STAR, psi, grid, t=0.7)
+    product = math.sqrt((m.q2 - m.q_mean**2) * (m.p2 - m.p_mean**2))
+    closed = uncertainty_product(P_STAR, n, squeeze, 0.7).product
+    assert abs(product - closed) / closed < 1e-12
 
 
 def test_moments_rejects_shape_mismatch():
@@ -416,7 +434,7 @@ def test_cn_fourth_order_in_time():
     # divides it by about 2^8 = 256 above the spatial floor; a second-order
     # step gives 16.  The 1.37-period window takes 250 and 500 steps per
     # period.  At r = 0.5 both deficits sit at the spatial floor (~1e-13),
-    # so the squeeze is r = 1 (4097 points; observed 6.1e-9 -> 2.6e-11, 231x).
+    # so the squeeze is r = 1 (2837 points; observed 6.2e-9 -> 3.5e-11, 181x).
     squeeze = SqueezeParams(1.0, 1.0)
     deficits = [cn_cross_check(P_STAR, squeeze, n_steps)[0] for n_steps in (343, 686)]
     assert deficits[0] / deficits[1] > 128.0
@@ -482,11 +500,13 @@ def test_cn_matches_the_exact_exponential_of_its_generator():
 def test_cn_grid_sized_from_narrowest_spread():
     # In the frame Q = e^{gamma t/2} q the spreads range over e^{2r}
     # whatever the damping, so the point count depends on r alone:
-    # ceil(24 * 16 * e^{2r}) rounded up to 2^k + 1, at most CN_MAX_POINTS.
+    # ceil(24 * 16 * e^{2r}), from 257 sampled spreads, rounded up to odd,
+    # at least 513 and at most CN_MAX_POINTS.
     for gamma in (0.0, 1.2, 1.8, 1.95):
         params = make_params(1.0, gamma, 1.0, 1.0)
-        assert _cn_grid(params, SqueezeParams(0.5, 1.0)).n_points == 2049
-        assert _cn_grid(params, SqueezeParams(1.0, 1.0)).n_points == 4097
+        assert _cn_grid(params, SqueezeParams(0.0, 1.0)).n_points == 513
+        assert _cn_grid(params, SqueezeParams(0.5, 1.0)).n_points == 1045
+        assert _cn_grid(params, SqueezeParams(1.0, 1.0)).n_points == 2837
         assert _cn_grid(params, SqueezeParams(3.0, 1.0)).n_points == CN_MAX_POINTS
     assert CN_MAX_POINTS == 32769
 
@@ -501,6 +521,16 @@ def test_cn_frame_resolves_strong_damping():
         deficit, drift = cn_cross_check(make_params(1.0, gamma, 1.0, 1.0), squeeze, 500)
         assert deficit < 1e-10
         assert drift < 1e-11
+
+
+def test_cn_larger_squeeze_passes_with_more_steps():
+    # The grid grows with e^{2r}, but the step floor (250 per period) does
+    # not: the Pade time error sets the step count.  At r = 1.5 (7699
+    # points) 500 steps read 5.8e-6, above the tolerance, and 1000 read 2.8e-8.
+    squeeze = SqueezeParams(1.5, 1.0)
+    deficit, drift = cn_cross_check(P_STAR, squeeze, 1000)
+    assert deficit < ToleranceConfig().cn_fidelity
+    assert drift < ToleranceConfig().cn_norm_drift
 
 
 def test_cn_frame_matches_closed_form_mid_period():
@@ -641,7 +671,7 @@ def test_cn_equals_per_step_solve_banded_bit_for_bit():
     Q = grid.points()
     phi0 = _in_frame(P_STAR, StateSpec.number(0, squeeze), 0.0, Q)
     phi0_bytes = phi0.tobytes()
-    assert grid.n_points == 2049
+    assert grid.n_points == 1045
     # At least 250 steps per period in each window.
     for n_steps, periods in (
         (500, CN_PERIODS),
