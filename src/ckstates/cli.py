@@ -21,15 +21,10 @@ from functools import cache
 import numpy as np
 
 from ._g17 import rows_text
-from .modes import SqueezeParams, _envelope, make_params
+from .modes import SqueezeParams, make_params
 from .observables import hamiltonian_expectation, uncertainty_product
 from .oracle import ToleranceConfig, make_grid, validate
-from .states import (
-    StateSpec,
-    coherent_trajectory,  # unused; the benchmark's tracer wraps cli.coherent_trajectory
-    eval_coherent_state,
-    eval_number_state,
-)
+from .states import StateSpec, coherent_trajectory, eval_coherent_state, eval_number_state
 
 __all__ = ["RunConfig", "UsageError", "main"]
 
@@ -253,34 +248,9 @@ def cmd_wavefunction(cfg: RunConfig) -> int:
 
 def _coherent_energy(params, squeeze, cfg: RunConfig, t: np.ndarray):
     """Path (q_c, p_c) of the coherent state through (qc, pc) at t0, and its
-    energy: the classical energy plus the ground-state fluctuation energy.
-
-    H(t0 + dt) with mass m0 is H(dt) with mass m = m0 e^{gamma t0}, so the
-    path is the damped classical map of the anchor, which does not depend
-    on the squeeze.  With c = cos(omega dt), s = sin(omega dt),
-    k = gamma/(2 omega) and e = e^{gamma dt/2}:
-    q_c = [qc (c + k s) + (pc/(m omega)) s] / e and
-    p_c = [pc (c - k s) - m qc (omega0^2/omega) s] e,
-    which give (qc, pc) back at dt = 0 bit for bit.  The classical energy is
-    ((p_c / (sqrt(m) e))^2 + (omega0 sqrt(m) e q_c)^2) / 2.
-    """
-    qc, pc = cfg.qc or 0.0, cfg.pc or 0.0
-    omega = params.omega
-    # A numpy scalar, so that an overflow below raises under np.errstate.
-    m = np.float64(params.m0) * _envelope(params.gamma * cfg.t0)
-    dt = t - cfg.t0
-    c, s = np.cos(omega * dt), np.sin(omega * dt)
-    k = params.gamma / (2.0 * omega)
-    e = _envelope(0.5 * params.gamma * dt)
-    q_c = (qc * (c + k * s) + pc / (m * omega) * s) / e
-    p_c = (pc * (c - k * s) - m * qc * (params.omega0**2 / omega) * s) * e
-    scale = np.sqrt(m) * e
-    energy = (
-        0.5 * np.square(p_c / scale)
-        + 0.5 * np.square(params.omega0 * scale * q_c)
-        + hamiltonian_expectation(params, 0, squeeze, t)
-    )
-    return q_c, p_c, energy
+    energy: the classical energy plus the ground-state fluctuation energy."""
+    q_c, p_c, classical = coherent_trajectory(params, cfg.qc or 0.0, cfg.pc or 0.0, cfg.t0, t)
+    return q_c, p_c, classical + hamiltonian_expectation(params, 0, squeeze, t)
 
 
 def cmd_trajectory(cfg: RunConfig) -> int:

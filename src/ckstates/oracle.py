@@ -2,8 +2,9 @@
 
 Nothing in this module trusts the closed-form moments: position moments
 come from composite Simpson quadrature of sampled wave functions,
-momentum moments from spectral (FFT) derivatives, time derivatives from
-a Richardson-extrapolated stencil, and time evolution from a fourth-order
+momentum moments from spectral (FFT) derivatives, coherent means from the
+invariant eigenvalue alpha, time derivatives from a Richardson-extrapolated
+stencil, and time evolution from a fourth-order
 (Pade 2,2) Crank-Nicolson propagator with the compact 4th-order (Numerov)
 Laplacian, run in the coordinate Q = e^{gamma t/2} q that maps the
 Caldirola-Kanai equation exactly onto an undamped oscillator, on a grid
@@ -34,6 +35,7 @@ import numpy as np
 from .modes import (
     PhysicalParams,
     SqueezeParams,
+    _envelope,
     _modulus,
     make_params,
     mode_u_rphi,
@@ -48,7 +50,6 @@ from .observables import (
 )
 from .states import (
     StateSpec,
-    alpha_from_point,
     coherent_trajectory,
     eval_coherent_state,
     eval_number_state,
@@ -362,20 +363,18 @@ def schrodinger_residual(
     The time derivative uses a 4th-order central stencil at step
     1e-4 hbar ||psi|| / ||H psi|| (the state's own time scale),
     Richardson-extrapolated once; the states' phase Theta is continuous
-    in t, so all stencil samples lie on one sheet.  For coherent specs
-    the displacement is anchored at time t through its invariant
-    eigenvalue and moved along the classical trajectory for the stencil
-    samples, so the residual probes one solution rather than a family of
-    re-centered states; H psi is differentiated in q spectrally.
+    in t, so all stencil samples lie on one sheet.  A coherent spec is
+    the anchor of :func:`coherent_trajectory` at time t, and the stencil
+    samples move along that path, so the residual probes one solution,
+    the path the library gives, rather than a family of re-centered
+    states; H psi is differentiated in q spectrally.
     """
     q = grid.points()
-    if spec.kind == "coherent":
-        alpha = alpha_from_point(params, spec.squeeze, spec.q_c, spec.p_c, t)
 
     def psi_at(tt: float) -> np.ndarray:
         state = spec
         if spec.kind == "coherent":
-            q_c, p_c = coherent_trajectory(params, spec.squeeze, alpha, tt)
+            q_c, p_c, _ = coherent_trajectory(params, spec.q_c, spec.p_c, t, tt)
             state = StateSpec.coherent(q_c, p_c, spec.squeeze)
         return _sample(params, state, tt, q, flip_b_sign)
 
@@ -886,9 +885,28 @@ def _sim_wave(params, flip, n):
     return float(np.max(np.abs(psi - phase * sho)))
 
 
+def _eigenvalue_path(params, squeeze, alpha, t):
+    """Classical phase-space point carried by the coherent state ``alpha``.
+
+    q_c = sqrt(hbar) (alpha u + alpha* u*) = 2 sqrt(hbar) Re(alpha v) / s and
+    p_c = sqrt(hbar) m0 e^{gamma t} (alpha u' + alpha* u'*) = 2 sqrt(hbar) m0 Re(alpha w) s.
+    The eigenvalue alpha is a constant of motion, so one alpha traces the
+    full damped trajectory: the oracle's reference for the coherent checks,
+    which name states by alpha, apart from :func:`coherent_trajectory`.
+    ``t`` is a float or an ndarray; so are q_c and p_c.
+    """
+    mode = mode_u_rphi(params, squeeze, t)
+    s = _envelope(0.5 * params.gamma * mode.t)
+    alpha = complex(alpha)
+    sq = math.sqrt(params.hbar)
+    q_c = sq * 2.0 * (alpha.real * mode.v.real - alpha.imag * mode.v.imag) / s
+    p_c = sq * params.m0 * 2.0 * (alpha.real * mode.w.real - alpha.imag * mode.w.imag) * s
+    return q_c, p_c
+
+
 def _coherent_moments(params, flip, alpha_re, alpha_im, r, phi, t):
     squeeze = SqueezeParams(r=r, phi=phi)
-    q_c, p_c = coherent_trajectory(params, squeeze, complex(alpha_re, alpha_im), t)
+    q_c, p_c = _eigenvalue_path(params, squeeze, complex(alpha_re, alpha_im), t)
     spec = StateSpec.coherent(q_c, p_c, squeeze)
     grid = _check_grid(params, spec, t)
     psi = _sample(params, spec, t, grid.points(), flip)

@@ -20,7 +20,9 @@ The Wronskian makes Re c = 1/2; states use e^{-c (A q)^2}, so s never meets q^2.
 Coherent states are rigid displacements of the ground Gaussian along the
 classical trajectory (q_c(t), p_c(t)), carrying the extra plane-wave factor
 e^{i p_c q / hbar} and a global phase fixed so the displaced state remains
-an exact Schroedinger solution.
+an exact Schroedinger solution.  :func:`coherent_trajectory` gives that
+path as the real damped map of its anchor (q_c, p_c) at t0, which the
+state's means follow whatever its squeeze.
 """
 
 import cmath
@@ -39,7 +41,6 @@ __all__ = [
     "eval_number_state",
     "eval_coherent_state",
     "coherent_trajectory",
-    "alpha_from_point",
 ]
 
 # Upward Hermite recurrence stays within double-precision range for
@@ -70,7 +71,7 @@ class StateSpec:
     """Which state to evaluate: number index or coherent displacement.
 
     ``kind`` is "number" (uses ``n``) or "coherent" (uses ``q_c``, ``p_c``,
-    the desired position/momentum expectation values at evaluation time).
+    the finite position/momentum expectation values at evaluation time).
     Both kinds carry squeeze parameters.
     """
 
@@ -85,6 +86,7 @@ class StateSpec:
             raise ValueError(f"unknown state kind {self.kind!r}")
         if self.kind == "number" and not (0 <= self.n <= MAX_N):
             raise ValueError(f"number index must be in [0, {MAX_N}], got {self.n}")
+        _check_anchor(q_c=self.q_c, p_c=self.p_c)
 
     @classmethod
     def number(cls, n: int, squeeze: SqueezeParams) -> "StateSpec":
@@ -93,6 +95,12 @@ class StateSpec:
     @classmethod
     def coherent(cls, q_c: float, p_c: float, squeeze: SqueezeParams) -> "StateSpec":
         return cls(kind="coherent", squeeze=squeeze, q_c=q_c, p_c=p_c)
+
+
+def _check_anchor(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"coherent {name} must be finite, got {value}")
 
 
 def hermite(n: int, x):
@@ -198,42 +206,38 @@ def eval_coherent_state(params: PhysicalParams, spec: StateSpec, t: float, q):
 
 
 def coherent_trajectory(
-    params: PhysicalParams,
-    squeeze: SqueezeParams,
-    alpha: complex,
-    t: float | np.ndarray,
-) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
-    """Classical phase-space point carried by the coherent state ``alpha``.
+    params: PhysicalParams, q_c: float, p_c: float, t0: float, t: float | np.ndarray
+) -> tuple[float, float, float] | tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Means (q_c, p_c) at ``t`` of the coherent state whose means are
+    (q_c, p_c) at ``t0``, and their classical energy.
 
-    q_c = sqrt(hbar) (alpha u + alpha* u*) = 2 sqrt(hbar) Re(alpha v) / s and
-    p_c = sqrt(hbar) m0 e^{gamma t} (alpha u' + alpha* u'*) = 2 sqrt(hbar) m0 Re(alpha w) s.
-    The eigenvalue alpha is a constant of motion, so one alpha traces the
-    full damped trajectory.  ``t`` is a float or an ndarray; so are q_c
-    and p_c.
+    H(t0 + dt) with mass m0 is H(dt) with mass m = m0 e^{gamma t0}, so the
+    path is the damped classical map of the anchor, which does not depend
+    on the squeeze.  With c = cos(omega dt), s = sin(omega dt),
+    k = gamma/(2 omega) and e = e^{gamma dt/2}:
+
+        q = [q_c (c + k s) + (p_c/(m omega)) s] / e,
+        p = [p_c (c - k s) - m q_c (omega0^2/omega) s] e,
+
+    which give (q_c, p_c) back exactly at t = t0 (a zero may lose its sign).
+    The energy e^{-gamma t} p^2/(2 m0) + (m0 omega0^2/2) e^{gamma t} q^2 is
+    ((p / (sqrt(m) e))^2 + (omega0 sqrt(m) e q)^2) / 2.  ``t`` is a float or
+    an ndarray, and so is each value.  A value outside the double range
+    raises ArithmeticError, whatever the caller's numpy error state.
     """
-    mode = mode_u_rphi(params, squeeze, t)
-    s = _envelope(0.5 * params.gamma * mode.t)
-    alpha = complex(alpha)
-    sq = math.sqrt(params.hbar)
-    q_c = sq * 2.0 * (alpha.real * mode.v.real - alpha.imag * mode.v.imag) / s
-    p_c = sq * params.m0 * 2.0 * (alpha.real * mode.w.real - alpha.imag * mode.w.imag) * s
-    return q_c, p_c
-
-
-def alpha_from_point(
-    params: PhysicalParams, squeeze: SqueezeParams, q_c: float, p_c: float, t: float
-) -> complex:
-    """Invert :func:`coherent_trajectory`: the eigenvalue whose trajectory
-    passes through (q_c, p_c) at time t.
-
-    alpha = (i/sqrt(hbar)) (u* p_c - m0 e^{gamma t} u'* q_c)
-    = (i/sqrt(hbar)) (v* p_c / s - m0 w* q_c s); the Wronskian
-    normalization makes this map exactly inverse to the trajectory.
-    """
-    mode = mode_u_rphi(params, squeeze, t)
-    s = _envelope(0.5 * params.gamma * t)
-    return (
-        1j
-        / math.sqrt(params.hbar)
-        * (mode.v.conjugate() * (p_c / s) - params.m0 * mode.w.conjugate() * (q_c * s))
-    )
+    _check_anchor(q_c=q_c, p_c=p_c, t0=t0)
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        # A numpy scalar, so that an overflow below raises.
+        m = np.float64(params.m0) * _envelope(params.gamma * t0)
+        dt = t - t0
+        c, s = np.cos(params.omega * dt), np.sin(params.omega * dt)
+        k = params.gamma / (2.0 * params.omega)
+        e = _envelope(0.5 * params.gamma * dt)
+        q = (q_c * (c + k * s) + p_c / (m * params.omega) * s) / e
+        p = (p_c * (c - k * s) - m * q_c * (params.omega0**2 / params.omega) * s) * e
+        scale = np.sqrt(m) * e
+        energy = 0.5 * np.square(p / scale) + 0.5 * np.square(params.omega0 * scale * q)
+    if t.ndim == 0:
+        return float(q), float(p), float(energy)
+    return q, p, energy

@@ -36,7 +36,6 @@ from ckstates.observables import (
 )
 from ckstates.states import (
     StateSpec,
-    coherent_trajectory,
     eval_coherent_state,
     eval_number_state,
     gauss_coeffs,
@@ -51,6 +50,7 @@ from ckstates.oracle import (
     moments,
     schrodinger_residual,
     _cn_grid,
+    _eigenvalue_path,
     _l2,
     _sample,
 )
@@ -315,7 +315,7 @@ def test_09_coherent_state_contracts():
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
         t = float(rng.uniform(0.0, 3.0))
         squeeze = SqueezeParams(r, phi)
-        q_c, p_c = coherent_trajectory(P_STAR, squeeze, alpha, t)
+        q_c, p_c = _eigenvalue_path(P_STAR, squeeze, alpha, t)
         spec = StateSpec.coherent(q_c, p_c, squeeze)
         grid = make_grid(P_STAR, spec, t, n_points=16385)
         psi = eval_coherent_state(P_STAR, spec, t, grid.points())

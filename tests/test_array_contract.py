@@ -23,14 +23,15 @@ draws = dict(
     n=st.integers(0, 32),
     t0=st.floats(-20.0, 20.0),
     span=st.floats(0.1, 40.0),
-    alpha_re=st.floats(-3.0, 3.0),
-    alpha_im=st.floats(-3.0, 3.0),
+    qc=st.floats(-3.0, 3.0),
+    pc=st.floats(-3.0, 3.0),
 )
 
 
-def reference(params, n, squeeze, alpha, t):
-    """v0, w0, v, w, dq, dp, dq dp and (q_c, p_c) at one float time, in
-    Python complex arithmetic: the bits the tables are built from."""
+def reference(params, n, squeeze, anchor, t):
+    """v0, w0, v, w, dq, dp, dq dp, and the coherent path through ``anchor``
+    = (qc, pc, t0) with its classical energy, at one float time, in Python
+    arithmetic: the bits the tables are built from."""
     v0 = 1.0 / math.sqrt(2.0 * params.m0 * params.omega) * cmath.exp(-1j * params.omega * t)
     w0 = complex(-params.gamma / 2.0, -params.omega) * v0
     mu = math.cosh(squeeze.r)
@@ -38,7 +39,16 @@ def reference(params, n, squeeze, alpha, t):
     v, w = mu * v0 + nu * v0.conjugate(), mu * w0 + nu * w0.conjugate()
     scale = math.sqrt(params.hbar * (2 * n + 1))
     s = math.exp(0.5 * params.gamma * t)
-    sq = math.sqrt(params.hbar)
+    qc, pc, t0 = anchor
+    m = params.m0 * math.exp(params.gamma * t0)
+    c, sn = math.cos(params.omega * (t - t0)), math.sin(params.omega * (t - t0))
+    k = params.gamma / (2.0 * params.omega)
+    e = math.exp(0.5 * params.gamma * (t - t0))
+    q_c = (qc * (c + k * sn) + pc / (m * params.omega) * sn) / e
+    p_c = (pc * (c - k * sn) - m * qc * (params.omega0**2 / params.omega) * sn) * e
+    size = math.sqrt(m) * e
+    # x * x, not x ** 2: libm pow may miss the rounded square by an ulp.
+    a, b = p_c / size, params.omega0 * size * q_c
     return {
         "v0": v0,
         "w0": w0,
@@ -47,8 +57,9 @@ def reference(params, n, squeeze, alpha, t):
         "dq": scale * abs(v) / s,
         "dp": scale * params.m0 * abs(w) * s,
         "product": params.hbar * (2 * n + 1) * params.m0 * abs(v) * abs(w),
-        "q_c": sq * 2.0 * (alpha * v).real / s,
-        "p_c": sq * params.m0 * 2.0 * (alpha * w).real * s,
+        "q_c": q_c,
+        "p_c": p_c,
+        "energy": 0.5 * (a * a) + 0.5 * (b * b),
     }
 
 
@@ -60,10 +71,9 @@ def same_bits(array, scalars) -> bool:
 
 @given(**draws)
 @settings(max_examples=40, deadline=None)
-def test_array_call_equals_scalar_calls(gamma, r, phi, n, t0, span, alpha_re, alpha_im):
+def test_array_call_equals_scalar_calls(gamma, r, phi, n, t0, span, qc, pc):
     params = make_params(1.0, gamma, 1.0, 1.0)
     squeeze = SqueezeParams(r, phi)
-    alpha = complex(alpha_re, alpha_im)
     # 257 times, with t = 0 among them so signed zeros are exercised.
     ts = np.concatenate(([0.0], np.linspace(t0, t0 + span, 256)))
     scalar_ts = ts.tolist()
@@ -86,12 +96,12 @@ def test_array_call_equals_scalar_calls(gamma, r, phi, n, t0, span, alpha_re, al
     energy = hamiltonian_expectation(params, n, squeeze, ts)
     assert same_bits(energy, [hamiltonian_expectation(params, n, squeeze, t) for t in scalar_ts])
 
-    q_c, p_c = coherent_trajectory(params, squeeze, alpha, ts)
-    points = [coherent_trajectory(params, squeeze, alpha, t) for t in scalar_ts]
-    assert same_bits(q_c, [q for q, _ in points])
-    assert same_bits(p_c, [p for _, p in points])
+    path = coherent_trajectory(params, qc, pc, t0, ts)
+    points = [coherent_trajectory(params, qc, pc, t0, t) for t in scalar_ts]
+    for values, scalars in zip(path, zip(*points)):
+        assert same_bits(values, scalars)
 
-    ref = [reference(params, n, squeeze, alpha, t) for t in scalar_ts]
+    ref = [reference(params, n, squeeze, (qc, pc, t0), t) for t in scalar_ts]
     u0 = mode_u0(params, ts)
     squeezed = mode_u_rphi(params, squeeze, ts)
     got = {
@@ -102,8 +112,9 @@ def test_array_call_equals_scalar_calls(gamma, r, phi, n, t0, span, alpha_re, al
         "dq": rec.dq,
         "dp": rec.dp,
         "product": rec.product,
-        "q_c": q_c,
-        "p_c": p_c,
+        "q_c": path[0],
+        "p_c": path[1],
+        "energy": path[2],
     }
     for key, values in got.items():
         assert same_bits(values, [x[key] for x in ref]), key
@@ -122,8 +133,7 @@ def test_scalar_time_gives_python_scalars(t):
     # JSON report cannot serialize.
     assert type(rec.product < rec.bound) is bool
     assert type(hamiltonian_expectation(P_STAR, 1, squeeze, t)) is float
-    q_c, p_c = coherent_trajectory(P_STAR, squeeze, 0.3 - 0.2j, t)
-    assert type(q_c) is float and type(p_c) is float
+    assert all(type(x) is float for x in coherent_trajectory(P_STAR, 0.3, -0.2, 0.1, t))
 
 
 def test_array_time_gives_arrays_of_its_shape():
@@ -135,7 +145,7 @@ def test_array_time_gives_arrays_of_its_shape():
         rec = uncertainty_product(P_STAR, 0, squeeze, ts)
         assert rec.product.shape == ts.shape and type(rec.bound) is float
         assert hamiltonian_expectation(P_STAR, 0, squeeze, ts).shape == ts.shape
-        assert all(x.shape == ts.shape for x in coherent_trajectory(P_STAR, squeeze, 1.0, ts))
+        assert all(x.shape == ts.shape for x in coherent_trajectory(P_STAR, 1.0, 0.0, 0.0, ts))
 
 
 @pytest.mark.parametrize("t", [600.0, -600.0, -1000.0])
@@ -149,8 +159,7 @@ def test_product_is_exact_far_from_the_origin(t):
     ):
         assert np.all(np.abs(rec.product - 0.625) <= 4 * math.ulp(0.625))
         assert np.all(np.abs(rec.dq * rec.dp - 0.625) <= 4 * math.ulp(0.625))
-    q_c, p_c = coherent_trajectory(P_STAR, squeeze, 1.0, t)
-    assert math.isfinite(q_c) and math.isfinite(p_c)
+    assert all(math.isfinite(x) for x in coherent_trajectory(P_STAR, 1.0, 0.0, 0.0, t))
 
 
 @pytest.mark.parametrize("t", [-1200.0])
@@ -163,7 +172,7 @@ def test_subnormal_envelope_raises(t):
     with pytest.raises(ArithmeticError, match="underflows"):
         uncertainty_product(P_STAR, 0, squeeze, np.array([0.0, t]))
     with pytest.raises(ArithmeticError, match="underflows"):
-        coherent_trajectory(P_STAR, squeeze, 1.0, t)
+        coherent_trajectory(P_STAR, 1.0, 0.0, 0.0, t)
 
 
 def test_envelope_overflow_stays_overflow_error():

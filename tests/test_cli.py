@@ -449,13 +449,16 @@ def test_bad_nt_exits_2(capsys):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--r", "nan"), ("--gamma", "nan"), ("--m0", "inf"), ("--omega0", "inf")],
+    [("--r", "nan"), ("--gamma", "nan"), ("--m0", "inf"), ("--omega0", "inf"),
+     ("--qc", "nan"), ("--pc", "nan"), ("--pc", "inf")],
 )
 def test_non_finite_parameter_exits_2(flag, value, capsys):
-    rc, out, err = run_cli(["uncertainty", flag, value, "--nt", "2"], capsys)
-    assert rc == 2
-    assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    anchor = flag in ("--qc", "--pc")
+    for command in ("trajectory", "hamiltonian", "wavefunction") if anchor else ("uncertainty",):
+        rc, out, err = run_cli([command, flag, value, "--nt", "2"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_arithmetic_overflow_exits_2(capsys):

@@ -14,7 +14,7 @@ FROZEN = [
     "ModeValue", "make_params", "mode_u0", "mode_u_rphi", "wronskian",
     "squeeze_from_mode", "special_squeeze",
     "GaussCoeffs", "StateSpec", "hermite", "gauss_coeffs", "eval_number_state",
-    "eval_coherent_state", "coherent_trajectory", "alpha_from_point",
+    "eval_coherent_state", "coherent_trajectory",
     "UncertaintyRecord", "TimeAverage", "theta_gamma", "sigma0",
     "uncertainty_product", "uncertainty_time_avg", "hamiltonian_expectation",
     "REPORT_VERSION", "BoundaryLeakError", "GridSpec", "Moments", "ToleranceConfig",
