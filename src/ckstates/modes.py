@@ -187,14 +187,18 @@ def _elementwise(fn, x):
 def _envelope(x):
     """e^x of a float or an ndarray by libm exp, as ``math.exp`` gives it.
 
-    Raises OverflowError above the double range, like ``math.exp``, and
+    Raises OverflowError above the double range, like ``math.exp``,
     ArithmeticError below the smallest normal double, where the scale
     s = e^{gamma t/2} has lost its precision or vanished and the closed
-    forms it scales would print wrong numbers.
+    forms it scales would print wrong numbers, and ValueError for a nan
+    argument, such as a nan time.
     """
     y = _elementwise(math.exp, x)
     low = y.min(initial=np.inf) if isinstance(y, np.ndarray) else y
-    if low < sys.float_info.min:
+    # One comparison on the common path; a nan minimum fails it too.
+    if not low >= sys.float_info.min:
+        if math.isnan(low):
+            raise ValueError("envelope e^x needs a number, got x = nan")
         x_low = x.min() if isinstance(x, np.ndarray) else x
         raise ArithmeticError(
             f"e^({float(x_low)!r}) = {float(low)!r} underflows the normal double range"

@@ -9,9 +9,11 @@ stencil, and time evolution from a fourth-order
 Laplacian, run in the coordinate Q = e^{gamma t/2} q that maps the
 Caldirola-Kanai equation exactly onto an undamped oscillator, on a grid
 sized from the packet's narrowest spread in that frame (an odd point
-count, as Simpson needs; the propagation takes no FFT).  That
-oscillator's Hamiltonian is constant, so the two stage matrices are
-LU-factored once per propagation; LAPACK is imported only then.
+count, as Simpson needs; the propagation takes no FFT), with a step
+count sized from the scheme's error constant and the packet's spectral
+width on that grid.  That oscillator's Hamiltonian is constant, so the
+two stage matrices are LU-factored once per propagation; LAPACK is
+imported only then.
 Agreement between these routes and the closed-form layer is what
 :func:`validate` certifies.
 
@@ -94,14 +96,22 @@ BOUNDARY_LEAK_TOL = 1e-8
 # CN_MAX_POINTS; the count is rounded up to odd, not to 2^k + 1, since
 # the propagation takes no FFT.  The frame spreads range over at most a
 # factor e^{2r}, whatever the damping, so r = 0.5 gets 1045 points at every
-# gamma, and the fidelity deficit at 500 steps over the CN_PERIODS window
-# is below 3e-13, far under the 1e-6 tolerance.
+# gamma.  On this grid the spatial error stays near 1e-13 in the fidelity
+# deficit, below the time error that CN_STEP_DEFICIT sizes the steps for.
 CN_POINTS_PER_SPREAD = 16
 CN_MAX_POINTS = 32769
 
 # Length of the cross-check propagation, in periods pi/omega; not a whole
 # number, see cn_cross_check.
 CN_PERIODS = 1.37
+
+# Fidelity deficit that cn_cross_check sizes its step count for, from the
+# Pade scheme's error constant, and the most steps it will take.
+CN_STEP_DEFICIT = 1e-11
+CN_MAX_STEPS = 16384
+
+# Least steps per period pi/omega that crank_nicolson_evolve accepts.
+_MIN_STEPS_PER_PERIOD = 100
 
 # Steps per edge-mass check of crank_nicolson_evolve: each step keeps its
 # 5 + 5 edge samples, and a block's masses are reduced in one pass.
@@ -388,10 +398,16 @@ def schrodinger_residual(
 
     psi = psi_at(t)
     hpsi = _apply_hamiltonian(params, psi, grid, t)
-    delta = float(1e-4 * params.hbar * np.linalg.norm(psi) / np.linalg.norm(hpsi))
+    psi_norm, hpsi_norm = np.linalg.norm(psi), np.linalg.norm(hpsi)
+    delta = float(1e-4 * params.hbar * psi_norm / hpsi_norm)
+    if not 0.0 < delta < math.inf:
+        raise ArithmeticError(
+            f"residual stencil step {delta!r} is not finite and positive: "
+            f"||psi|| = {float(psi_norm)!r}, ||H psi|| = {float(hpsi_norm)!r}"
+        )
     dpsi_dt = (16.0 * d4(delta / 2.0) - d4(delta)) / 15.0
     residual = np.linalg.norm(1j * params.hbar * dpsi_dt - hpsi)
-    return float(residual / np.linalg.norm(hpsi))
+    return float(residual / hpsi_norm)
 
 
 def solve_banded(factor: tuple, rhs: np.ndarray) -> np.ndarray:
@@ -439,8 +455,11 @@ def crank_nicolson_evolve(
     itself.  H is constant, so the two L_j are LU-factored once (LAPACK
     ``zgttrf``) and each step is two :func:`solve_banded` calls, in place,
     into a buffer that then trades roles with the samples.  Requires at
-    least 250 steps per period pi/omega.  Damped parameters are refused:
-    :func:`cn_cross_check` propagates in the undamped frame.
+    least 100 steps per period pi/omega, a bound on omega dt only: the step
+    count that a given accuracy needs grows with the packet's spectral
+    width, which :func:`cn_cross_check` measures to choose its own.
+    Damped parameters are refused: :func:`cn_cross_check` propagates in
+    the undamped frame.
 
     The boundary-leak guard covers every step.  Each step keeps its 5 + 5
     edge samples after its second stage, and their masses are evaluated
@@ -467,23 +486,19 @@ def crank_nicolson_evolve(
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got t0={t0}, t1={t1}")
     # An integer is below this floor iff below its ceiling; the floor may be inf.
-    min_steps = 250.0 * (t1 - t0) / (math.pi / params.omega)
+    min_steps = _step_floor(params, t0, t1)
     if n_steps < min_steps:
         raise ValueError(
-            f"n_steps={n_steps} is below 250 per period pi/omega (need >= {min_steps!r})"
+            f"n_steps={n_steps} is below {_MIN_STEPS_PER_PERIOD} per period pi/omega "
+            f"(need >= {min_steps!r})"
         )
-    q = grid.points()
     psi = np.asarray(psi0, dtype=complex).copy()
-    if psi.shape != q.shape:
-        raise ValueError(f"samples shape {psi.shape} does not match grid {q.shape}")
+    if psi.shape != (grid.n_points,):
+        raise ValueError(f"samples shape {psi.shape} does not match grid {(grid.n_points,)}")
     from scipy.linalg.lapack import zgttrf, zgttrs
 
     dt = (t1 - t0) / n_steps
-    # Column j of A = M H/hbar holds V_j/12 - kin off the diagonal and 10 V_j/12
-    # + 2 kin on it: kin = hbar/(2 m0 dq^2), V = m0 omega0^2 q^2/(2 hbar).
-    kin = params.hbar / (2.0 * params.m0 * grid.dq**2)
-    pot12 = (params.m0 * params.omega0**2 / (24.0 * params.hbar)) * q * q
-    a_off, a_diag = pot12 - kin, pot12 * 10.0 + 2.0 * kin
+    a_off, a_diag = _numerov_bands(params, grid)
     # Stage j solves (M + i dt A/z_j) x = (M + i dt A/zhat_j) psi with
     # zhat_j = -conj(z_j), so its right-hand matrix is the conjugate of its left.
     stages = []
@@ -516,6 +531,72 @@ def crank_nicolson_evolve(
             psi.take(edge_index, out=row, mode="clip")
         _check_edge_mass(block, grid.dq, t0, start, dt)
     return psi
+
+
+def _step_floor(params: PhysicalParams, t0: float, t1: float) -> float:
+    """Least step count :func:`crank_nicolson_evolve` takes from t0 to t1."""
+    return _MIN_STEPS_PER_PERIOD * (t1 - t0) / (math.pi / params.omega)
+
+
+def _numerov_bands(params: PhysicalParams, grid: GridSpec) -> tuple:
+    """Off-diagonal and diagonal of A = M H/hbar, the discrete Hamiltonian
+    H/hbar = M^{-1} A of undamped ``params`` times M = tridiag(1, 10, 1)/12.
+
+    Column j of A holds V_j/12 - kin off the diagonal and 10 V_j/12 + 2 kin
+    on it: kin = hbar/(2 m0 dq^2), V = m0 omega0^2 q^2/(2 hbar).
+    """
+    q = grid.points()
+    kin = params.hbar / (2.0 * params.m0 * grid.dq**2)
+    pot12 = (params.m0 * params.omega0**2 / (24.0 * params.hbar)) * q * q
+    return pot12 - kin, pot12 * 10.0 + 2.0 * kin
+
+
+def _cn_steps(params: PhysicalParams, grid: GridSpec, phi0: np.ndarray, t1: float) -> int:
+    """Step count of :func:`crank_nicolson_evolve` from 0 to t1 for a
+    fidelity deficit near ``CN_STEP_DEFICIT``, at least its floor.
+
+    The (2,2) Pade approximant misses e^z by z^5/720 per step, so N steps
+    of dt = t1/N leave an error of norm about N dt^5 X/720, with
+    X = ||(H/hbar - <H/hbar>)^5 phi0|| / ||phi0|| and H/hbar = M^{-1} A the
+    discrete Numerov Hamiltonian; the deficit is its square.  So
+    N = t1 (t1 X/(720 sqrt(CN_STEP_DEFICIT)))^{1/4}.  X takes five
+    applications of M^{-1} A, each a tridiagonal product and a solve with
+    M, which is factored once.  The rule holds on grids sized to the
+    packet, as :func:`_cn_grid`'s are: on an over-resolved grid, rounding
+    noise near the Nyquist wavenumber inflates X.
+
+    Raises
+    ------
+    ValueError
+        If N is not finite or exceeds ``CN_MAX_STEPS``.
+    """
+    from scipy.linalg.lapack import zgttrf, zgttrs
+
+    a_off, a_diag = _numerov_bands(params, grid)
+    # M is strictly diagonally dominant, so its factorization cannot fail.
+    m_off = np.full(grid.n_points - 1, 1.0 / 12.0, dtype=complex)
+    *m_lu, _ = zgttrf(m_off, np.full(grid.n_points, 10.0 / 12.0, dtype=complex), m_off)
+
+    def hamiltonian(psi):
+        a_psi = a_diag * psi
+        side = a_off * psi
+        a_psi[:-1] += side[1:]
+        a_psi[1:] += side[:-1]
+        return zgttrs(*m_lu, a_psi, overwrite_b=1)[0]
+
+    h_phi = hamiltonian(phi0)
+    mean = np.vdot(phi0, h_phi).real / np.vdot(phi0, phi0).real
+    spread = h_phi - mean * phi0
+    for _ in range(4):
+        spread = hamiltonian(spread) - mean * spread
+    x = np.linalg.norm(spread) / np.linalg.norm(phi0)
+    estimate = t1 * (t1 * x / (720.0 * math.sqrt(CN_STEP_DEFICIT))) ** 0.25
+    if not estimate <= CN_MAX_STEPS:
+        raise ValueError(
+            f"the Pade propagation needs {estimate:.6g} steps for a fidelity deficit "
+            f"of {CN_STEP_DEFICIT:g}, not within CN_MAX_STEPS = {CN_MAX_STEPS}"
+        )
+    return max(math.ceil(_step_floor(params, 0.0, t1)), math.ceil(estimate))
 
 
 def _check_edge_mass(
@@ -574,7 +655,6 @@ def _in_frame(
 def cn_cross_check(
     params: PhysicalParams,
     squeeze: SqueezeParams,
-    n_steps: int,
     *,
     flip_b_sign: bool = False,
 ) -> tuple[float, float]:
@@ -601,25 +681,40 @@ def cn_cross_check(
 
     The box spans 24 of the widest frame spreads over the period, with
     ``CN_POINTS_PER_SPREAD`` points per narrowest spread, at most
-    ``CN_MAX_POINTS``.  So the grid grows with the squeeze, as e^{2r}, but
-    the step floor of :func:`crank_nicolson_evolve` does not, and at larger
-    r the Pade time error, not the grid, sets the step count: at r = 1
-    (2837 points) the deficit is 3.4e-10 at 500 steps and 4.5e-12 at 1000;
-    at r = 1.5 (7699 points) it is 5.8e-6 at 500 steps, above the default
-    1e-6 tolerance, and 2.8e-8 at 1000.
+    ``CN_MAX_POINTS``, so the grid grows with the squeeze as e^{2r}.  The
+    Pade time error grows faster, and the step count follows it: it is
+    chosen from the scheme's error constant 1/720 and the packet's
+    spectral width on this grid for a deficit near ``CN_STEP_DEFICIT``
+    (see :func:`_cn_steps`), at least the propagator's floor.  At every
+    damping that is 195 steps at r = 0.5 (1045 points) and about 2500 at
+    r = 1.5 (7699 points); r = 3 would need about 1e5, above
+    ``CN_MAX_STEPS``, and is refused before any step is taken.  So is a
+    packet that already reaches the grid's edge at t = 0.
 
     Returns
     -------
     (deficit, drift)
         The fidelity deficit |1 - |<psi_closed|psi_CN>|^2| and the norm
         drift of the propagated samples.
+
+    Raises
+    ------
+    BoundaryLeakError
+        If the initial samples carry more than ``BOUNDARY_LEAK_TOL`` within
+        5 points of either boundary, or the propagation leaks.
+    ValueError
+        If the step count is not finite or exceeds ``CN_MAX_STEPS``.
     """
     spec = StateSpec.number(0, squeeze)
     t1 = CN_PERIODS * math.pi / params.omega
     grid = _cn_grid(params, squeeze)
     Q = grid.points()
     phi0 = _in_frame(params, spec, 0.0, Q, flip_b_sign)
-    evolved = crank_nicolson_evolve(_frame_params(params), phi0, grid, 0.0, t1, n_steps)
+    # The initial samples as the row before the first step (start = -1, at t = 0).
+    _check_edge_mass(np.r_[phi0[:5], phi0[-5:]][None], grid.dq, 0.0, -1, 0.0)
+    frame = _frame_params(params)
+    n_steps = _cn_steps(frame, grid, phi0, t1)
+    evolved = crank_nicolson_evolve(frame, phi0, grid, 0.0, t1, n_steps)
     ref = _in_frame(params, spec, t1, Q, flip_b_sign)
     overlap = complex(simpson(ref.conjugate() * evolved, dx=grid.dq))
     deficit = abs(1.0 - abs(overlap) ** 2)
@@ -860,10 +955,8 @@ def _ladder_bogoliubov(params, flip, r, phi, t):
     return _l2(lhs - rhs, grid.dq) / _l2(lhs, grid.dq)
 
 
-def _cn(params, flip, r, phi, n_steps):
-    return cn_cross_check(
-        params, SqueezeParams(r=r, phi=phi), int(n_steps), flip_b_sign=flip
-    )
+def _cn(params, flip, r, phi):
+    return cn_cross_check(params, SqueezeParams(r=r, phi=phi), flip_b_sign=flip)
 
 
 def _sim_wave(params, flip, n):
@@ -1047,7 +1140,7 @@ def default_schedule(params: PhysicalParams) -> tuple:
     for n in (1, 2, 3, 4):
         checks.append(Check("ladder_step", (n, 0.5, 1.0, 0.6)))
     checks.append(Check("ladder_bogoliubov", (0.8, 2.5, 1.2)))
-    checks.append(Check("cn_fidelity", (0.5, 1.0, 500)))
+    checks.append(Check("cn_fidelity", (0.5, 1.0)))
     for n in (0, 1, 2):
         checks.append(Check("sim_wave", (n,)))
     for alpha_re, alpha_im, r, phi, t in (

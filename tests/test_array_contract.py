@@ -179,3 +179,15 @@ def test_envelope_overflow_stays_overflow_error():
     # s = e^{720} at t = 1200 (gamma = 1.2).
     with pytest.raises(OverflowError):
         uncertainty_product(P_STAR, 0, SqueezeParams(0.0, 0.0), np.array([0.0, 1200.0]))
+
+
+def test_nan_time_raises():
+    # A nan time has no envelope e^{gamma t/2}; the closed forms say so
+    # instead of returning nan, for a scalar and for an array holding one.
+    squeeze = SqueezeParams(0.0, 0.0)
+    for t in (math.nan, np.array([0.0, math.nan, 1.0])):
+        with pytest.raises(ValueError, match="got x = nan") as excinfo:
+            uncertainty_product(P_STAR, 0, squeeze, t)
+        assert "\n" not in str(excinfo.value)
+        with pytest.raises(ValueError, match="got x = nan"):
+            coherent_trajectory(P_STAR, 1.0, 0.0, 0.0, t)

@@ -21,7 +21,9 @@ from ckstates.oracle import (
     BoundaryLeakError,
     CHECK_MAX_POINTS,
     CN_MAX_POINTS,
+    CN_MAX_STEPS,
     CN_PERIODS,
+    CN_STEP_DEFICIT,
     Check,
     GridSpec,
     REPORT_VERSION,
@@ -39,6 +41,7 @@ from ckstates.oracle import (
     _EDGE_BLOCK,
     _check_grid,
     _cn_grid,
+    _cn_steps,
     _derivative,
     _frame_params,
     _in_frame,
@@ -130,18 +133,23 @@ def test_simpson_rejects_even_sample_count():
         oracle_simpson(np.ones(1024), dx=0.1)
 
 
-def _loaded_in_fresh_process(imports: str, module: str) -> bool:
+def _run_fresh(code: str) -> str:
+    """Standard output of ``code`` run by a fresh interpreter that imports
+    this checkout's package."""
     import ckstates
 
     src = os.path.dirname(os.path.dirname(ckstates.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    code = f"import sys, {imports}; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True, timeout=60,
     )
-    return out.stdout.strip() == "True"
+    return out.stdout.strip()
+
+
+def _loaded_in_fresh_process(imports: str, module: str) -> bool:
+    return _run_fresh(f"import sys, {imports}; print({module!r} in sys.modules)") == "True"
 
 
 def test_import_leaves_scipy_integrate_unloaded():
@@ -151,6 +159,19 @@ def test_import_leaves_scipy_integrate_unloaded():
 def test_import_leaves_scipy_linalg_unloaded():
     # Only the Crank-Nicolson propagation needs LAPACK; it imports it.
     assert not _loaded_in_fresh_process("ckstates, ckstates.cli", "scipy.linalg")
+
+
+def test_import_loads_nothing_beyond_numpy_and_the_standard_library():
+    # Start-up time is import time: an eager scipy or mpmath import would
+    # add a third-party package here.
+    code = (
+        "import sys, numpy\n"
+        "def tops(): return {name.partition('.')[0] for name in sys.modules}\n"
+        "before = tops()\n"
+        "import ckstates, ckstates.cli\n"
+        "print(sorted(tops() - before - {'ckstates'} - set(sys.stdlib_module_names)))"
+    )
+    assert _run_fresh(code) == "[]"
 
 
 # ---------------------------------------------------------------- moments
@@ -386,13 +407,18 @@ def test_residual_detects_perturbed_width():
     assert residual_for(1.01) > 1e-3
 
 
+# gamma/(2 omega0) = 0.965, a drawn point where the coherent (-2, 1.5) entry
+# turns its phase fastest.
+P_DAMPED_965 = make_params(
+    m0=1.0678095464283202, gamma=3.61395078915318,
+    omega0=1.8733478849413852, hbar=1.103930756419824,
+)
+
+
 @pytest.mark.parametrize(
     "params",
     [
-        make_params(
-            m0=1.0678095464283202, gamma=3.61395078915318,
-            omega0=1.8733478849413852, hbar=1.103930756419824,
-        ),
+        P_DAMPED_965,
         make_params(
             m0=1.2791164400927502, gamma=3.1010318641584855,
             omega0=1.5997950009066826, hbar=0.7045252258459043,
@@ -407,6 +433,18 @@ def test_residual_step_follows_the_state(params):
     schedule = tuple(c for c in default_schedule(params) if c.name == "residual")
     report = validate(params, schedule=schedule)
     assert report.summary == {"total": 5, "passed": 5, "failed": 0, "skipped": 0}
+
+
+def test_residual_refuses_a_stencil_step_that_is_no_number():
+    # The negative control's coherent state overflows here, so ||psi|| and
+    # ||H psi|| are no numbers and neither is the stencil step; the residual
+    # says so before it samples the path at a nan time.
+    schedule = (Check("residual", ("coherent", -2.0, 1.5, 0.3, 4.0, 1.9)),)
+    (entry,) = validate(P_DAMPED_965, schedule=schedule, flip_b_sign=True).entries
+    assert not entry.passed
+    assert entry.reason.startswith(
+        "ArithmeticError: residual stencil step nan is not finite and positive"
+    )
 
 
 # ---------------------------------------------------------------- Crank-Nicolson
@@ -429,14 +467,39 @@ def test_cn_round_trip_fidelity():
     assert drift < 1e-8
 
 
+@pytest.fixture
+def cn_step_counts(monkeypatch):
+    """The step counts of every crank_nicolson_evolve call the oracle makes."""
+    counts = []
+    evolve = oracle.crank_nicolson_evolve
+
+    def recording(params, psi0, grid, t0, t1, n_steps):
+        counts.append(n_steps)
+        return evolve(params, psi0, grid, t0, t1, n_steps)
+
+    monkeypatch.setattr(oracle, "crank_nicolson_evolve", recording)
+    return counts
+
+
 def test_cn_fourth_order_in_time():
     # The fidelity deficit is the squared orthogonal error, so halving dt
     # divides it by about 2^8 = 256 above the spatial floor; a second-order
     # step gives 16.  The 1.37-period window takes 250 and 500 steps per
     # period.  At r = 0.5 both deficits sit at the spatial floor (~1e-13),
-    # so the squeeze is r = 1 (2837 points; observed 6.2e-9 -> 3.5e-11, 181x).
+    # so the squeeze is r = 1 (2837 points; observed 6.2e-9 -> 3.5e-11, 181x),
+    # on the cross-check's grid over its window.
     squeeze = SqueezeParams(1.0, 1.0)
-    deficits = [cn_cross_check(P_STAR, squeeze, n_steps)[0] for n_steps in (343, 686)]
+    spec = StateSpec.number(0, squeeze)
+    t1 = CN_PERIODS * math.pi / P_STAR.omega
+    grid = _cn_grid(P_STAR, squeeze)
+    Q = grid.points()
+    phi0 = _in_frame(P_STAR, spec, 0.0, Q)
+    ref = _in_frame(P_STAR, spec, t1, Q)
+    deficits = []
+    for n_steps in (343, 686):
+        evolved = crank_nicolson_evolve(_frame_params(P_STAR), phi0, grid, 0.0, t1, n_steps)
+        overlap = complex(simpson(ref.conjugate() * evolved, dx=grid.dq))
+        deficits.append(abs(1.0 - abs(overlap) ** 2))
     assert deficits[0] / deficits[1] > 128.0
     assert deficits[1] < 1e-7
 
@@ -514,23 +577,91 @@ def test_cn_grid_sized_from_narrowest_spread():
 def test_cn_frame_resolves_strong_damping():
     # In q the packet narrows about 650x (gamma/(2 omega0) = 0.9) and
     # 1e6x (0.975) within a period; in the frame it keeps its width, so
-    # the deficit stays at the undamped level.  The schedule's 500 steps
-    # over the 1.37-period window give deficits of 1.8e-14 to 4.8e-14.
+    # the deficit stays at the undamped level: the chosen 195 steps over
+    # the 1.37-period window give 2.0e-11 at each damping.
     squeeze = SqueezeParams(0.5, 1.0)
     for gamma in (0.0, 1.8, 1.95):
-        deficit, drift = cn_cross_check(make_params(1.0, gamma, 1.0, 1.0), squeeze, 500)
+        deficit, drift = cn_cross_check(make_params(1.0, gamma, 1.0, 1.0), squeeze)
         assert deficit < 1e-10
         assert drift < 1e-11
 
 
-def test_cn_larger_squeeze_passes_with_more_steps():
-    # The grid grows with e^{2r}, but the step floor (250 per period) does
-    # not: the Pade time error sets the step count.  At r = 1.5 (7699
-    # points) 500 steps read 5.8e-6, above the tolerance, and 1000 read 2.8e-8.
+def test_cn_larger_squeeze_passes_with_more_steps(cn_step_counts):
+    # The grid grows with e^{2r}, and the Pade time error faster: at r = 1.5
+    # (7699 points) a fixed 500 steps read 5.8e-6, above the tolerance.  The
+    # check chooses its own count, 2544 steps, and reads 4.5e-11.
     squeeze = SqueezeParams(1.5, 1.0)
-    deficit, drift = cn_cross_check(P_STAR, squeeze, 1000)
+    deficit, drift = cn_cross_check(P_STAR, squeeze)
+    assert cn_step_counts[0] > 2000
     assert deficit < ToleranceConfig().cn_fidelity
     assert drift < ToleranceConfig().cn_norm_drift
+
+
+def _numerov_spread(params, grid, phi0):
+    """X = ||(H/hbar - <H/hbar>)^5 phi0|| / ||phi0|| for the Numerov
+    Hamiltonian H/hbar = -kin M^{-1} D + V of undamped ``params``, with
+    scipy's banded solver for M = tridiag(1, 10, 1)/12."""
+    from scipy.linalg import solve_banded
+
+    Q = grid.points()
+    kin = params.hbar / (2.0 * params.m0 * grid.dq**2)
+    potential = params.m0 * params.omega0**2 * Q * Q / (2.0 * params.hbar)
+    mass = np.empty((3, Q.size))
+    mass[0] = mass[2] = 1.0 / 12.0
+    mass[1] = 10.0 / 12.0
+
+    def hamiltonian(psi):
+        d_psi = -2.0 * psi
+        d_psi[:-1] += psi[1:]
+        d_psi[1:] += psi[:-1]
+        return solve_banded((1, 1), mass, -kin * d_psi) + potential * psi
+
+    h_phi = hamiltonian(phi0)
+    mean = np.vdot(phi0, h_phi).real / np.vdot(phi0, phi0).real
+    spread = h_phi - mean * phi0
+    for _ in range(4):
+        spread = hamiltonian(spread) - mean * spread
+    return np.linalg.norm(spread) / np.linalg.norm(phi0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.95])
+@pytest.mark.parametrize("r", [0.25, 0.5, 1.0])
+def test_cn_step_count_meets_its_deficit(cn_step_counts, r, gamma):
+    # N steps of the (2,2) Pade scheme, error constant 1/720, leave a deficit
+    # of about (T^5 X/(720 N^4))^2.  N is chosen for CN_STEP_DEFICIT = 1e-11,
+    # at least 100 steps per period (137 over the window, which sets N at
+    # r = 0.25); observed 2.0-3.2x the prediction at 137, 195 and 727 steps.
+    params = make_params(1.0, gamma, 1.0, 1.0)
+    squeeze = SqueezeParams(r, 1.0)
+    deficit, _ = cn_cross_check(params, squeeze)
+    (n_steps,) = cn_step_counts
+    grid = _cn_grid(params, squeeze)
+    phi0 = _in_frame(params, StateSpec.number(0, squeeze), 0.0, grid.points())
+    x = _numerov_spread(_frame_params(params), grid, phi0)
+    t1 = CN_PERIODS * math.pi / params.omega
+    chosen = max(
+        100.0 * CN_PERIODS, t1 * (t1 * x / (720.0 * math.sqrt(CN_STEP_DEFICIT))) ** 0.25
+    )
+    assert abs(n_steps - math.ceil(chosen)) <= 1
+    predicted = (t1**5 * x / (720.0 * n_steps**4)) ** 2
+    assert deficit < 1e-10
+    assert predicted / 5.0 < deficit < 5.0 * predicted
+
+
+def test_cn_refuses_a_step_count_above_its_cap(cn_step_counts):
+    # r = 3 needs about 1e5 steps on 32769 points: refused before any step.
+    with pytest.raises(ValueError, match=r"needs 10\d{4} steps .* CN_MAX_STEPS = 16384") as excinfo:
+        cn_cross_check(P_STAR, SqueezeParams(3.0, 1.0))
+    assert "\n" not in str(excinfo.value)
+    assert cn_step_counts == []
+    assert CN_MAX_STEPS == 16384
+    # A spread that is no number is refused the same way.
+    params = _frame_params(P_STAR)
+    grid = GridSpec(-8.0, 8.0, 513)
+    psi0 = eval_number_state(params, GROUND, 0.0, grid.points())
+    psi0[grid.n_points // 2] = math.nan
+    with pytest.raises(ValueError, match="needs nan steps"):
+        _cn_steps(params, grid, psi0, 1.0)
 
 
 def test_cn_frame_matches_closed_form_mid_period():
@@ -584,7 +715,7 @@ def test_cn_rejects_coarse_stepping():
     params = _frame_params(P_STAR)
     grid = GridSpec(-8.0, 8.0, 513)
     psi0 = eval_number_state(params, GROUND, 0.0, grid.points())
-    with pytest.raises(ValueError, match="below 250 per period"):
+    with pytest.raises(ValueError, match="below 100 per period"):
         crank_nicolson_evolve(params, psi0, grid, 0.0, 0.5, 10)
     with pytest.raises(ValueError, match="t1 > t0"):
         crank_nicolson_evolve(params, psi0, grid, 0.5, 0.5, 100)
@@ -594,21 +725,22 @@ def test_cn_accepts_the_ceiling_of_its_step_floor():
     params = _frame_params(P_STAR)
     grid = GridSpec(-8.0, 8.0, 513)
     psi0 = eval_number_state(params, GROUND, 0.0, grid.points())
-    floor = 250.0 * 0.5 / (math.pi / params.omega)
+    floor = 100.0 * 0.5 / (math.pi / params.omega)
     ceiling = math.ceil(floor)
     assert ceiling > floor
     crank_nicolson_evolve(params, psi0, grid, 0.0, 0.5, ceiling)
-    with pytest.raises(ValueError, match="below 250 per period"):
+    with pytest.raises(ValueError, match="below 100 per period"):
         crank_nicolson_evolve(params, psi0, grid, 0.0, 0.5, ceiling - 1)
 
 
-@pytest.mark.parametrize("t0, t1", [(-1e308, 1e308), (0.0, 1e306)])
+@pytest.mark.parametrize("t0, t1", [(-1e308, 1e308), (0.0, 1e306), (0.0, 1e307)])
 def test_cn_rejects_a_finite_window_whose_step_floor_overflows(t0, t1):
-    # 250 (t1 - t0)/period is inf here; its ceiling is no integer.
+    # 100 (t1 - t0)/period is inf for the first and last windows, whose
+    # ceiling is no integer, and about 2.5e307 for the middle one.
     params = _frame_params(P_STAR)
     grid = GridSpec(-8.0, 8.0, 513)
     psi0 = eval_number_state(params, GROUND, 0.0, grid.points())
-    with pytest.raises(ValueError, match="below 250 per period") as excinfo:
+    with pytest.raises(ValueError, match="below 100 per period") as excinfo:
         crank_nicolson_evolve(params, psi0, grid, t0, t1, 10**6)
     assert "\n" not in str(excinfo.value)
 
@@ -672,7 +804,7 @@ def test_cn_equals_per_step_solve_banded_bit_for_bit():
     phi0 = _in_frame(P_STAR, StateSpec.number(0, squeeze), 0.0, Q)
     phi0_bytes = phi0.tobytes()
     assert grid.n_points == 1045
-    # At least 250 steps per period in each window.
+    # At least 100 steps per period in each window.
     for n_steps, periods in (
         (500, CN_PERIODS),
         (_EDGE_BLOCK - 1, 0.25),
@@ -842,9 +974,10 @@ def test_validate_skips_sim_wave_without_damping():
 
 
 def test_validate_raising_check_fails_every_entry_of_its_kind():
-    # The flipped width leaks through the CN boundary at once; cn_fidelity
-    # reports two entries, so both must record the failure.
-    schedule = (Check("cn_fidelity", (0.5, 1.0, 500)),)
+    # The flipped width already leaks at t = 0, which the cross-check
+    # refuses before it sizes its steps; cn_fidelity reports two entries,
+    # so both must record the failure.
+    schedule = (Check("cn_fidelity", (0.5, 1.0)),)
     report = validate(P_STAR, schedule=schedule, flip_b_sign=True)
     assert [e.check_name for e in report.entries] == ["cn_fidelity", "cn_norm_drift"]
     for e in report.entries:
