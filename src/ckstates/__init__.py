@@ -6,7 +6,7 @@ closed-form layer (:mod:`ckstates.modes`, :mod:`ckstates.states`,
 classical damped equation of motion, and an independent numerical oracle
 (:mod:`ckstates.oracle`) that re-derives every claim from sampled wave
 functions by quadrature, spectral derivatives, time stencils and
-Crank-Nicolson propagation.  :func:`ckstates.oracle.validate` cross-checks the two.
+split-step Fourier propagation.  :func:`ckstates.oracle.validate` cross-checks the two.
 """
 
 from . import modes, observables, oracle, states

@@ -1,5 +1,5 @@
-"""Command-line surface: tables of states and observables, sweep data for
-plotting, and the validation suite.
+"""Command-line surface: tables of states and observables, and the
+validation suite.
 
 Output is deterministic: identical configuration produces byte-identical
 tables.  Numbers are printed with 17 significant digits so downstream

@@ -4,33 +4,32 @@ Nothing in this module trusts the closed-form moments: position moments
 come from composite Simpson quadrature of sampled wave functions,
 momentum moments from spectral (FFT) derivatives, coherent means from the
 invariant eigenvalue alpha, time derivatives from a Richardson-extrapolated
-stencil, and time evolution from a fourth-order
-(Pade 2,2) Crank-Nicolson propagator with the compact 4th-order (Numerov)
-Laplacian, run in the coordinate Q = e^{gamma t/2} q that maps the
-Caldirola-Kanai equation exactly onto an undamped oscillator, on a grid
-sized from the packet's narrowest spread in that frame (an odd point
-count, as Simpson needs; the propagation takes no FFT), with a step
-count sized from the scheme's error constant and the packet's spectral
-width on that grid.  That oscillator's Hamiltonian is constant, so the
-two stage matrices are LU-factored once per propagation; LAPACK is
-imported only then.
+stencil, and time evolution from a fourth-order split-step Fourier
+propagator (Strang steps composed by Yoshida's triple jump), run in the
+coordinate Q = e^{gamma t/2} q that maps the Caldirola-Kanai equation
+exactly onto an undamped oscillator, on a grid sized from the packet's
+narrowest spread in that frame.  That oscillator's Hamiltonian is
+constant, and each of its two parts is an exact phase, the potential on
+the grid and the kinetic energy on the FFT wavenumbers.
 Agreement between these routes and the closed-form layer is what
 :func:`validate` certifies.
 
 Spatial derivatives (momentum moments, energies, ladder operators, the
-Hamiltonian of the residual) are those of the samples' trigonometric
-interpolant, so their error is the state's spectrum beyond the grid's
-Nyquist wavenumber; each such check sizes its grid from the wavenumbers
-the state carries, its chirp e^{-i Im B q^2} included.  Boxes leave a
-negligible boundary amplitude, so the samples are periodic to that
-accuracy; evolution uses Dirichlet-zero boundaries and monitors leakage.
+Hamiltonian of the residual) and the kinetic phases of the propagator
+are those of the samples' trigonometric interpolant, so their error is
+the state's spectrum beyond the grid's Nyquist wavenumber; each such
+check sizes its grid from the wavenumbers the state carries, its chirp
+e^{-i Im B q^2} included.  Boxes leave a negligible boundary amplitude,
+so the samples are periodic to that accuracy; evolution monitors the
+mass near the boundary, which a packet wrapping round the periodic box
+must cross.
 """
 
 import json
 import math
 import numbers
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -87,28 +86,23 @@ MIN_GRID_POINTS = 513
 CHECK_MAX_POINTS = 262145
 
 # Probability mass allowed within 5 points of either boundary during
-# Crank-Nicolson stepping before the run is declared leaky.
+# propagation before the run is declared leaky.
 BOUNDARY_LEAK_TOL = 1e-8
 
-# Crank-Nicolson cross-check grid, in the frame coordinate Q = e^{gamma t/2} q
+# Propagation cross-check grid, in the frame coordinate Q = e^{gamma t/2} q
 # of cn_cross_check: the box spans 24 of the widest frame spreads over one
-# period, with this many points per narrowest spread, capped at
-# CN_MAX_POINTS; the count is rounded up to odd, not to 2^k + 1, since
-# the propagation takes no FFT.  The frame spreads range over at most a
-# factor e^{2r}, whatever the damping, so r = 0.5 gets 1045 points at every
-# gamma.  On this grid the spatial error stays near 1e-13 in the fidelity
-# deficit, below the time error that CN_STEP_DEFICIT sizes the steps for.
-CN_POINTS_PER_SPREAD = 16
+# period, with this many points per narrowest spread, rounded up to
+# 2^k + 1 for the FFT and capped at CN_MAX_POINTS.  The frame spreads range
+# over at most a factor e^{2r}, whatever the damping, so r = 0.5 gets 513
+# points at every gamma.  The kinetic phases are exact on the grid's
+# wavenumbers, so four points per spread leave a spectral error far below
+# the split scheme's time error.
+CN_POINTS_PER_SPREAD = 4
 CN_MAX_POINTS = 32769
 
 # Length of the cross-check propagation, in periods pi/omega; not a whole
 # number, see cn_cross_check.
 CN_PERIODS = 1.37
-
-# Fidelity deficit that cn_cross_check sizes its step count for, from the
-# Pade scheme's error constant, and the most steps it will take.
-CN_STEP_DEFICIT = 1e-11
-CN_MAX_STEPS = 16384
 
 # Least steps per period pi/omega that crank_nicolson_evolve accepts.
 _MIN_STEPS_PER_PERIOD = 100
@@ -130,9 +124,8 @@ class GridSpec:
     applicable, and its n - 1 intervals are one period of the spectral
     derivative.  The floor, 513, is 25 points per spread of a number state
     on :func:`make_grid`'s box, where Simpson is at rounding level.
-    :func:`make_grid` and the derivative checks round their counts up to
-    2^k + 1, FFT-friendly sizes; the Crank-Nicolson grid takes no FFT and
-    is sized to the odd count it needs.
+    :func:`make_grid`, the derivative checks and the propagation
+    cross-check round their counts up to 2^k + 1, FFT-friendly sizes.
     """
 
     q_min: float
@@ -179,7 +172,7 @@ class Moments:
 
 def _clamp_points(n_points: int) -> int:
     """Round a requested point count up to the nearest 2^k + 1, at least
-    ``MIN_GRID_POINTS``: the FFT-friendly sizes of the derivative grids."""
+    ``MIN_GRID_POINTS``: the FFT-friendly sizes of the oracle's grids."""
     m = max(n_points - 1, MIN_GRID_POINTS - 1)
     return 2 ** math.ceil(math.log2(m)) + 1
 
@@ -411,13 +404,15 @@ def schrodinger_residual(
 
 
 def solve_banded(factor: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve L x = rhs for one stage of a Crank-Nicolson step, overwriting ``rhs``.
+    """Solve L x = rhs with a LAPACK ``zgttrs`` tridiagonal factor,
+    overwriting ``rhs``.
 
-    ``factor`` is LAPACK ``zgttrs`` followed by the LU factor of the
-    tridiagonal stage matrix L from ``zgttrf``, as
-    :func:`crank_nicolson_evolve` computes it once per propagation for each
-    of its two stages.  The solution is written into ``rhs`` and returned;
-    ``rhs`` must be a contiguous complex128 vector.
+    ``factor`` is ``zgttrs`` followed by the LU factor of L from
+    ``zgttrf``.  The solution is written into ``rhs`` and returned; ``rhs``
+    must be a contiguous complex128 vector.  Nothing in the package calls
+    it since :func:`crank_nicolson_evolve` became a split-step scheme; it
+    stays because ``perfbench/spans.py`` traces ``oracle.solve_banded`` by
+    name.
     """
     gttrs, *lu = factor
     return gttrs(*lu, rhs, overwrite_b=1)[0]
@@ -431,50 +426,44 @@ def crank_nicolson_evolve(
     t1: float,
     n_steps: int,
 ) -> np.ndarray:
-    """Propagate samples from t0 to t1 with unitary fourth-order
-    Crank-Nicolson steps under the time-independent Hamiltonian of
-    undamped ``params``.
+    """Propagate samples from t0 to t1 with fourth-order split-step
+    Fourier steps under the time-independent Hamiltonian of undamped
+    ``params``.
 
-    The Laplacian is the compact 4th-order (Numerov) form M^{-1} D / dq^2
-    with D = tridiag(1, -2, 1) and M = tridiag(1, 10, 1)/12, under
-    Dirichlet-zero boundaries.  M and D commute, so the discrete
-    Hamiltonian H = hbar M^{-1} A, with A = -kin D/dq^2 + M V real and
-    tridiagonal, is real symmetric.  A step applies the (2,2) diagonal
-    Pade approximant of e^z, z = -i dt H/hbar, the generalized
-    Crank-Nicolson scheme of W. van Dijk and F. M. Toyama, Phys. Rev. E 75
-    (2007) 036707:
-
-        R(z) = (1 + z/2 + z^2/12)/(1 - z/2 + z^2/12)
-             = prod_j (1 - z/zhat_j)/(1 - z/z_j),
-
-    z_j = 3 +- i sqrt(3), zhat_j = -conj(z_j).  Its error per step is
-    O(dt^5), so the propagation is fourth order.  Multiplying each stage
-    by M keeps it tridiagonal: rhs = (M + i dt A/zhat_j) psi, then solve
-    L_j x = rhs with L_j = M + i dt A/z_j, whose elementwise conjugate is
-    the right-hand matrix.  Each stage is therefore exactly unitary by
-    itself.  H is constant, so the two L_j are LU-factored once (LAPACK
-    ``zgttrf``) and each step is two :func:`solve_banded` calls, in place,
-    into a buffer that then trades roles with the samples.  Requires at
-    least 100 steps per period pi/omega, a bound on omega dt only: the step
-    count that a given accuracy needs grows with the packet's spectral
-    width, which :func:`cn_cross_check` measures to choose its own.
+    The name is kept from the Crank-Nicolson scheme this replaced; the
+    scheme is now the split-operator method of M. D. Feit, J. A. Fleck Jr.
+    and A. Steiger, J. Comput. Phys. 47 (1982) 412.  H = T + V splits into
+    two parts that are each exact phases: V = m0 omega0^2 q^2/2 on the
+    grid points, and T = hbar^2 k^2/(2 m0) on the ``numpy.fft``
+    wavenumbers k of the n - 1 periodic samples, in :func:`_derivative`'s
+    convention (the last grid point is the image of the first, and is
+    rewritten as such).  A Strang step of length h is
+    e^{-i V h/2 hbar} e^{-i T h/hbar} e^{-i V h/2 hbar}, second order;
+    H. Yoshida's triple jump, Phys. Lett. A 150 (1990) 262, composes
+    three of them with h = w1 dt, w0 dt, w1 dt, where
+    w1 = 1/(2 - 2^{1/3}) and w0 = 1 - 2 w1, so the step's error is
+    O(dt^5) and the propagation fourth order.  The two half-kicks that
+    meet between substeps are one phase.  Every factor has modulus 1 and
+    the FFT pair is unitary, so the norm holds to rounding.  Requires at
+    least 100 steps per period pi/omega, a bound on omega dt only.
     Damped parameters are refused: :func:`cn_cross_check` propagates in
     the undamped frame.
 
-    The boundary-leak guard covers every step.  Each step keeps its 5 + 5
-    edge samples after its second stage, and their masses are evaluated
-    together once per block of 256 steps and after the last step, so a
-    leak raises at the end of its block, with the mass and time of the
-    first step that leaked.
+    The boundary-leak guard covers the initial samples and every step.  In
+    the periodic box a packet that wraps round crosses the boundary, so
+    the guard catches it too.  Each step keeps its 5 + 5 edge samples, and
+    their masses are evaluated together once per block of 256 steps and
+    after the last step, so a leak raises at the end of its block, with
+    the mass and time of the first step that leaked.
 
     Raises
     ------
     ValueError
         If ``params.gamma`` is not 0, t0 or t1 is not finite, t1 <= t0,
-        or the steps are too few.
+        the steps are too few, or ``psi0`` does not match the grid.
     BoundaryLeakError
         If probability mass within 5 points of either boundary exceeds
-        1e-8 (or is nan) at any step.
+        1e-8 (or is nan) initially or at any step.
     """
     if params.gamma != 0.0:
         raise ValueError(
@@ -492,111 +481,45 @@ def crank_nicolson_evolve(
             f"n_steps={n_steps} is below {_MIN_STEPS_PER_PERIOD} per period pi/omega "
             f"(need >= {min_steps!r})"
         )
-    psi = np.asarray(psi0, dtype=complex).copy()
-    if psi.shape != (grid.n_points,):
-        raise ValueError(f"samples shape {psi.shape} does not match grid {(grid.n_points,)}")
-    from scipy.linalg.lapack import zgttrf, zgttrs
-
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (grid.n_points,):
+        raise ValueError(f"samples shape {psi0.shape} does not match grid {(grid.n_points,)}")
+    # Grid indices of the 5 + 5 edge samples; "wrap" maps the last point
+    # onto its image, the first periodic sample.
+    edge_index = np.r_[0:5, grid.n_points - 5 : grid.n_points]
+    # The initial samples as the row before the first step (start = -1).
+    _check_edge_mass(psi0[edge_index][None], grid.dq, t0, -1, 0.0)
     dt = (t1 - t0) / n_steps
-    a_off, a_diag = _numerov_bands(params, grid)
-    # Stage j solves (M + i dt A/z_j) x = (M + i dt A/zhat_j) psi with
-    # zhat_j = -conj(z_j), so its right-hand matrix is the conjugate of its left.
-    stages = []
-    for z in (complex(3.0, math.sqrt(3.0)), complex(3.0, -math.sqrt(3.0))):
-        off = 1.0 / 12.0 + (1j * dt / z) * a_off
-        diag = 10.0 / 12.0 + (1j * dt / z) * a_diag
-        *lu, info = zgttrf(off[:-1], diag, off[1:])
-        if info != 0:
-            raise np.linalg.LinAlgError("singular Pade stage matrix")
-        stages.append(((zgttrs, *lu), diag.conjugate(), off.conjugate()))
-    # The solve overwrites rhs, which becomes psi, so the two buffers trade
-    # roles each stage; their shifted views are made once.
-    side = np.empty_like(psi)
-    side_head, side_tail = side[:-1], side[1:]
-    rhs_views, psi_views = ((buf, buf[:-1], buf[1:]) for buf in (np.empty_like(psi), psi))
-    edge_index = np.r_[0:5, psi.size - 5 : psi.size]
+    w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+    w0 = 1.0 - 2.0 * w1
+    q = grid.points()[:-1]
+    k = np.fft.fftfreq(q.size, d=grid.dq / (2.0 * math.pi))
+    # -i dt V/hbar on the grid and -i dt T/hbar on the wavenumbers.
+    potential = (-0.5j * dt * params.m0 * params.omega0**2 / params.hbar) * q * q
+    kinetic = (-0.5j * dt * params.hbar / params.m0) * k * k
+    outer_kick = np.exp(0.5 * w1 * potential)
+    inner_kick = np.exp(0.5 * (w1 + w0) * potential)
+    drift1, drift0 = np.exp(w1 * kinetic), np.exp(w0 * kinetic)
+    substeps = ((outer_kick, drift1), (inner_kick, drift0), (inner_kick, drift1))
+    psi = psi0[:-1].copy()
     edges = np.empty((_EDGE_BLOCK, edge_index.size), dtype=complex)
     for start in range(0, n_steps, _EDGE_BLOCK):
         block = edges[: min(_EDGE_BLOCK, n_steps - start)]
         for row in block:
-            for factor, diag_conj, off_conj in stages:
-                rhs, rhs_head, rhs_tail = rhs_views
-                np.multiply(diag_conj, psi, out=rhs)
-                np.multiply(off_conj, psi, out=side)
-                np.add(rhs_head, side_tail, out=rhs_head)
-                np.add(rhs_tail, side_head, out=rhs_tail)
-                psi = solve_banded(factor, rhs)
-                rhs_views, psi_views = psi_views, rhs_views
-            # In range anyway; "clip" writes into row where "raise" buffers.
-            psi.take(edge_index, out=row, mode="clip")
+            for kick, drift in substeps:
+                psi *= kick
+                np.fft.fft(psi, out=psi)
+                psi *= drift
+                np.fft.ifft(psi, out=psi)
+            psi *= outer_kick
+            psi.take(edge_index, out=row, mode="wrap")
         _check_edge_mass(block, grid.dq, t0, start, dt)
-    return psi
+    return np.append(psi, psi[:1])
 
 
 def _step_floor(params: PhysicalParams, t0: float, t1: float) -> float:
     """Least step count :func:`crank_nicolson_evolve` takes from t0 to t1."""
     return _MIN_STEPS_PER_PERIOD * (t1 - t0) / (math.pi / params.omega)
-
-
-def _numerov_bands(params: PhysicalParams, grid: GridSpec) -> tuple:
-    """Off-diagonal and diagonal of A = M H/hbar, the discrete Hamiltonian
-    H/hbar = M^{-1} A of undamped ``params`` times M = tridiag(1, 10, 1)/12.
-
-    Column j of A holds V_j/12 - kin off the diagonal and 10 V_j/12 + 2 kin
-    on it: kin = hbar/(2 m0 dq^2), V = m0 omega0^2 q^2/(2 hbar).
-    """
-    q = grid.points()
-    kin = params.hbar / (2.0 * params.m0 * grid.dq**2)
-    pot12 = (params.m0 * params.omega0**2 / (24.0 * params.hbar)) * q * q
-    return pot12 - kin, pot12 * 10.0 + 2.0 * kin
-
-
-def _cn_steps(params: PhysicalParams, grid: GridSpec, phi0: np.ndarray, t1: float) -> int:
-    """Step count of :func:`crank_nicolson_evolve` from 0 to t1 for a
-    fidelity deficit near ``CN_STEP_DEFICIT``, at least its floor.
-
-    The (2,2) Pade approximant misses e^z by z^5/720 per step, so N steps
-    of dt = t1/N leave an error of norm about N dt^5 X/720, with
-    X = ||(H/hbar - <H/hbar>)^5 phi0|| / ||phi0|| and H/hbar = M^{-1} A the
-    discrete Numerov Hamiltonian; the deficit is its square.  So
-    N = t1 (t1 X/(720 sqrt(CN_STEP_DEFICIT)))^{1/4}.  X takes five
-    applications of M^{-1} A, each a tridiagonal product and a solve with
-    M, which is factored once.  The rule holds on grids sized to the
-    packet, as :func:`_cn_grid`'s are: on an over-resolved grid, rounding
-    noise near the Nyquist wavenumber inflates X.
-
-    Raises
-    ------
-    ValueError
-        If N is not finite or exceeds ``CN_MAX_STEPS``.
-    """
-    from scipy.linalg.lapack import zgttrf, zgttrs
-
-    a_off, a_diag = _numerov_bands(params, grid)
-    # M is strictly diagonally dominant, so its factorization cannot fail.
-    m_off = np.full(grid.n_points - 1, 1.0 / 12.0, dtype=complex)
-    *m_lu, _ = zgttrf(m_off, np.full(grid.n_points, 10.0 / 12.0, dtype=complex), m_off)
-
-    def hamiltonian(psi):
-        a_psi = a_diag * psi
-        side = a_off * psi
-        a_psi[:-1] += side[1:]
-        a_psi[1:] += side[:-1]
-        return zgttrs(*m_lu, a_psi, overwrite_b=1)[0]
-
-    h_phi = hamiltonian(phi0)
-    mean = np.vdot(phi0, h_phi).real / np.vdot(phi0, phi0).real
-    spread = h_phi - mean * phi0
-    for _ in range(4):
-        spread = hamiltonian(spread) - mean * spread
-    x = np.linalg.norm(spread) / np.linalg.norm(phi0)
-    estimate = t1 * (t1 * x / (720.0 * math.sqrt(CN_STEP_DEFICIT))) ** 0.25
-    if not estimate <= CN_MAX_STEPS:
-        raise ValueError(
-            f"the Pade propagation needs {estimate:.6g} steps for a fidelity deficit "
-            f"of {CN_STEP_DEFICIT:g}, not within CN_MAX_STEPS = {CN_MAX_STEPS}"
-        )
-    return max(math.ceil(_step_floor(params, 0.0, t1)), math.ceil(estimate))
 
 
 def _check_edge_mass(
@@ -621,14 +544,15 @@ def _cn_grid(params: PhysicalParams, squeeze: SqueezeParams) -> GridSpec:
     """Grid of :func:`cn_cross_check` in the frame coordinate
     Q = e^{gamma t/2} q, from the frame spreads sqrt(hbar)|v(t)| at 257
     instants of one period: ceil(24 ``CN_POINTS_PER_SPREAD`` widest/narrowest)
-    points rounded up to odd, at least ``MIN_GRID_POINTS`` and at most
+    points rounded up to 2^k + 1, at least ``MIN_GRID_POINTS`` and at most
     ``CN_MAX_POINTS``."""
     ts = np.linspace(0.0, math.pi / params.omega, 257)
     spreads = math.sqrt(params.hbar) * _modulus(mode_u_rphi(params, squeeze, ts).v)
     widest = float(spreads.max())
-    n_points = math.ceil(24 * CN_POINTS_PER_SPREAD * widest / spreads.min()) | 1
-    n_points = min(CN_MAX_POINTS, max(MIN_GRID_POINTS, n_points))
-    return GridSpec(q_min=-12.0 * widest, q_max=12.0 * widest, n_points=n_points)
+    n_points = _clamp_points(math.ceil(24 * CN_POINTS_PER_SPREAD * widest / spreads.min()))
+    return GridSpec(
+        q_min=-12.0 * widest, q_max=12.0 * widest, n_points=min(CN_MAX_POINTS, n_points)
+    )
 
 
 def _frame_params(params: PhysicalParams) -> PhysicalParams:
@@ -680,21 +604,18 @@ def cn_cross_check(
     of Q at both ends (a wrong chirp sign, for one) would pass unseen.
 
     The box spans 24 of the widest frame spreads over the period, with
-    ``CN_POINTS_PER_SPREAD`` points per narrowest spread, at most
-    ``CN_MAX_POINTS``, so the grid grows with the squeeze as e^{2r}.  The
-    Pade time error grows faster, and the step count follows it: it is
-    chosen from the scheme's error constant 1/720 and the packet's
-    spectral width on this grid for a deficit near ``CN_STEP_DEFICIT``
-    (see :func:`_cn_steps`), at least the propagator's floor.  At every
-    damping that is 195 steps at r = 0.5 (1045 points) and about 2500 at
-    r = 1.5 (7699 points); r = 3 would need about 1e5, above
-    ``CN_MAX_STEPS``, and is refused before any step is taken.  So is a
-    packet that already reaches the grid's edge at t = 0.
+    ``CN_POINTS_PER_SPREAD`` points per narrowest spread, rounded up to
+    2^k + 1 and at most ``CN_MAX_POINTS``, so the grid grows with the
+    squeeze as e^{2r}.  The split scheme's time error grows slowly with r,
+    so the step count is the propagator's floor, 137 or 138 steps over
+    the window, at every squeeze: 513 points at r = 0.5 read a deficit of
+    at most about 1e-14, and 32769 points at r = 3 about 2e-9.  A packet that already
+    reaches the grid's edge at t = 0 is refused by the propagator's guard.
 
     Returns
     -------
     (deficit, drift)
-        The fidelity deficit |1 - |<psi_closed|psi_CN>|^2| and the norm
+        The fidelity deficit |1 - |<psi_closed|psi_prop>|^2| and the norm
         drift of the propagated samples.
 
     Raises
@@ -702,18 +623,14 @@ def cn_cross_check(
     BoundaryLeakError
         If the initial samples carry more than ``BOUNDARY_LEAK_TOL`` within
         5 points of either boundary, or the propagation leaks.
-    ValueError
-        If the step count is not finite or exceeds ``CN_MAX_STEPS``.
     """
     spec = StateSpec.number(0, squeeze)
     t1 = CN_PERIODS * math.pi / params.omega
     grid = _cn_grid(params, squeeze)
     Q = grid.points()
     phi0 = _in_frame(params, spec, 0.0, Q, flip_b_sign)
-    # The initial samples as the row before the first step (start = -1, at t = 0).
-    _check_edge_mass(np.r_[phi0[:5], phi0[-5:]][None], grid.dq, 0.0, -1, 0.0)
     frame = _frame_params(params)
-    n_steps = _cn_steps(frame, grid, phi0, t1)
+    n_steps = math.ceil(_step_floor(frame, 0.0, t1))
     evolved = crank_nicolson_evolve(frame, phi0, grid, 0.0, t1, n_steps)
     ref = _in_frame(params, spec, t1, Q, flip_b_sign)
     overlap = complex(simpson(ref.conjugate() * evolved, dx=grid.dq))
@@ -744,6 +661,14 @@ class ToleranceConfig:
     coherent_moment: float = 1e-8
     coherent_uncertainty: float = 1e-9
     time_avg_slack: float = 1e-9
+
+    def __post_init__(self) -> None:
+        # A nan tolerance fails every comparison and a negative one every
+        # entry, whatever was measured; inf and 0 are meaningful.
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not value >= 0.0:
+                raise ValueError(f"tolerance {field.name} must be >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -1095,7 +1020,7 @@ def default_schedule(params: PhysicalParams) -> tuple:
 
     Covers every registered check family: Wronskian normalization,
     state normalization, closed-form moments and energies against
-    quadrature, Schroedinger residuals, ladder algebra, Crank-Nicolson
+    quadrature, Schroedinger residuals, ladder algebra, split-step
     propagation, the simple-harmonic initial condition, coherent-state
     contracts, and the time-averaged uncertainty comparisons.
     """

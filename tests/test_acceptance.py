@@ -229,7 +229,8 @@ def test_05_schrodinger_residuals():
 
 def test_06_crank_nicolson_cross_check(monkeypatch):
     # At the default schedule's squeeze, which validate runs; the check
-    # chooses its own step count, recorded here to be printed.
+    # takes the propagator's floor of 100 steps per period, recorded here
+    # to be printed with the grid.
     (args,) = [c.args for c in default_schedule(P_STAR) if c.name == "cn_fidelity"]
     squeeze = SqueezeParams(*args)
     steps = []

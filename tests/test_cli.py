@@ -428,6 +428,18 @@ def test_validate_rejects_unknown_tolerance(tmp_path, capsys):
     assert "unknown tolerance" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_validate_rejects_a_tolerance_that_no_measurement_can_meet(value, tmp_path, capsys):
+    # A nan or negative tolerance would fail every entry it judges, whatever
+    # was measured; the run stops before the suite, with one line.
+    overrides = tmp_path / "tol.cfg"
+    overrides.write_text(f"residual = {value}\n", encoding="utf-8")
+    rc, out, err = run_cli(["validate", "--tol-overrides", str(overrides)], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: tolerance residual must be >= 0, got {float(value)!r}\n"
+
+
 # ---------------------------------------------------------------- exit codes
 
 

@@ -10,6 +10,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from ckstates import oracle
@@ -21,9 +23,7 @@ from ckstates.oracle import (
     BoundaryLeakError,
     CHECK_MAX_POINTS,
     CN_MAX_POINTS,
-    CN_MAX_STEPS,
     CN_PERIODS,
-    CN_STEP_DEFICIT,
     Check,
     GridSpec,
     REPORT_VERSION,
@@ -41,7 +41,6 @@ from ckstates.oracle import (
     _EDGE_BLOCK,
     _check_grid,
     _cn_grid,
-    _cn_steps,
     _derivative,
     _frame_params,
     _in_frame,
@@ -59,7 +58,7 @@ GROUND = StateSpec.number(0, NO_SQUEEZE)
 
 
 def test_grid_spec_dq_and_points():
-    # Any odd count from the floor: 1045 is the Crank-Nicolson grid's at r = 0.5.
+    # Any odd count from the floor, a power of two plus one or not.
     for n_points in (1025, 1045):
         grid = GridSpec(-8.0, 8.0, n_points)
         assert grid.dq == pytest.approx(16.0 / (n_points - 1), rel=1e-15)
@@ -157,8 +156,19 @@ def test_import_leaves_scipy_integrate_unloaded():
 
 
 def test_import_leaves_scipy_linalg_unloaded():
-    # Only the Crank-Nicolson propagation needs LAPACK; it imports it.
     assert not _loaded_in_fresh_process("ckstates, ckstates.cli", "scipy.linalg")
+
+
+def test_validate_loads_no_scipy():
+    # scipy is a test dependency only: a whole validate run, the propagation
+    # cross-check included, must not load any part of it.
+    code = (
+        "import sys\n"
+        "from ckstates import make_params, validate\n"
+        "assert validate(make_params(1, 1.2, 1, 1)).all_passed\n"
+        "print(sorted(n for n in sys.modules if n.partition('.')[0] == 'scipy'))"
+    )
+    assert _run_fresh(code) == "[]"
 
 
 def test_import_loads_nothing_beyond_numpy_and_the_standard_library():
@@ -205,7 +215,7 @@ def test_moments_warns_on_broken_normalization():
 
 @pytest.mark.parametrize("n", [0, 3])
 def test_moments_on_an_odd_grid_that_is_no_power_of_two(n):
-    # 1045 points, the Crank-Nicolson grid's count at r = 0.5: the spectral
+    # 1045 points, no power of two plus one: the spectral
     # derivative runs over 1044 samples and still matches the closed form
     # (observed 1.1e-14 at n = 0 and 6.4e-16 at n = 3).
     squeeze = SqueezeParams(0.5, 1.0)
@@ -447,7 +457,7 @@ def test_residual_refuses_a_stencil_step_that_is_no_number():
     )
 
 
-# ---------------------------------------------------------------- Crank-Nicolson
+# ---------------------------------------------------------------- propagation
 
 
 def test_cn_round_trip_fidelity():
@@ -481,22 +491,30 @@ def cn_step_counts(monkeypatch):
     return counts
 
 
+def _floor_steps(params):
+    """The propagator's least step count over the cross-check's window."""
+    t1 = CN_PERIODS * math.pi / params.omega
+    return math.ceil(oracle._step_floor(_frame_params(params), 0.0, t1))
+
+
 def test_cn_fourth_order_in_time():
     # The fidelity deficit is the squared orthogonal error, so halving dt
-    # divides it by about 2^8 = 256 above the spatial floor; a second-order
-    # step gives 16.  The 1.37-period window takes 250 and 500 steps per
-    # period.  At r = 0.5 both deficits sit at the spatial floor (~1e-13),
-    # so the squeeze is r = 1 (2837 points; observed 6.2e-9 -> 3.5e-11, 181x),
-    # on the cross-check's grid over its window.
-    squeeze = SqueezeParams(1.0, 1.0)
-    spec = StateSpec.number(0, squeeze)
+    # divides it by about 2^8 = 256; a second-order step gives 16.  The
+    # 1.37-period window takes 100 and 200 steps per period.  The squeezed
+    # ground state reads near the deficit's rounding floor (~1e-13) there,
+    # so the state is the n = 8 number state at r = 1.5, whose time error
+    # is larger, on twice the cross-check's box (observed 3.2e-10 ->
+    # 1.1e-12, 300x).
+    squeeze = SqueezeParams(1.5, 1.0)
+    spec = StateSpec.number(8, squeeze)
     t1 = CN_PERIODS * math.pi / P_STAR.omega
-    grid = _cn_grid(P_STAR, squeeze)
+    box = _cn_grid(P_STAR, squeeze)
+    grid = GridSpec(2.0 * box.q_min, 2.0 * box.q_max, 4097)
     Q = grid.points()
     phi0 = _in_frame(P_STAR, spec, 0.0, Q)
     ref = _in_frame(P_STAR, spec, t1, Q)
     deficits = []
-    for n_steps in (343, 686):
+    for n_steps in (137, 274):
         evolved = crank_nicolson_evolve(_frame_params(P_STAR), phi0, grid, 0.0, t1, n_steps)
         overlap = complex(simpson(ref.conjugate() * evolved, dx=grid.dq))
         deficits.append(abs(1.0 - abs(overlap) ** 2))
@@ -504,57 +522,35 @@ def test_cn_fourth_order_in_time():
     assert deficits[1] < 1e-7
 
 
-def test_cn_fourth_order_in_space():
-    # The Numerov Laplacian has a 4th-order error, so the deficit (its
-    # square) shrinks by about 256x when dq halves; a 3-point Laplacian
-    # gives about 16x.  250 steps put the time error well below both.
-    # The frame packet is resolved to that time floor on the cross-check
-    # grid, so the box is 4x as wide (observed ratio 262).
-    squeeze = SqueezeParams(0.5, 1.0)
-    spec = StateSpec.number(0, squeeze)
-    period = math.pi / P_STAR.omega
-    box = _cn_grid(P_STAR, squeeze)
-    deficits = []
-    for n_points in (513, 1025):
-        grid = GridSpec(4.0 * box.q_min, 4.0 * box.q_max, n_points)
-        Q = grid.points()
-        psi0 = _in_frame(P_STAR, spec, 0.0, Q)
-        evolved = crank_nicolson_evolve(_frame_params(P_STAR), psi0, grid, 0.0, period, 250)
-        ref = _in_frame(P_STAR, spec, period, Q)
-        overlap = complex(simpson(ref.conjugate() * evolved, dx=grid.dq))
-        deficits.append(abs(1.0 - abs(overlap) ** 2))
-    assert deficits[0] / deficits[1] >= 64.0
-
-
 def test_cn_matches_the_exact_exponential_of_its_generator():
-    # Against exp(-i t G) of the dense discrete generator G = M^{-1} A =
-    # -hbar/(2 m0) M^{-1} D/dq^2 + V itself, so no spatial error enters: the
-    # step error alone falls as dt^4 (observed 16.0x per halving, 1.6e-7 at
-    # 125 steps), and each stage is unitary, so the norm holds at every
-    # step count.  G is real symmetric (M and D commute), so its exponential
-    # is taken by eigendecomposition, which agrees with scipy.linalg.expm to
-    # 5e-13 here at an eighth of the cost.  A moving packet keeps the time
-    # error above the box's own content in the stiff modes.
+    # Against exp(-i t H) of the dense spectral Hamiltonian of the 512
+    # periodic samples, H = F^-1 diag(k^2/2) F + diag(q^2/2), whose kinetic
+    # and potential parts the split steps exponentiate exactly, so no
+    # spatial error enters: the splitting error alone falls as dt^4
+    # (observed 16.0x per halving, 3.0e-7 at 50 steps), and every factor
+    # is unitary, so the norm holds at every step count.  H is Hermitian,
+    # so its exponential is taken by eigendecomposition.  A moving packet
+    # keeps the time error above the box's own content in the stiff modes.
     from scipy.linalg import eigh
 
     params = make_params(1.0, 0.0, 1.0, 1.0)
     grid = GridSpec(-8.0, 8.0, 513)
     q = grid.points()
-    ones = np.ones(q.size - 1)
-    D = np.diag(ones, -1) - 2.0 * np.eye(q.size) + np.diag(ones, 1)
-    M = np.diag(ones, -1) + 10.0 * np.eye(q.size) + np.diag(ones, 1)
-    G = -0.5 * np.linalg.solve(M / 12.0, D) / grid.dq**2 + np.diag(0.5 * q * q)
-    energies, modes = eigh(G)
+    k = np.fft.fftfreq(q.size - 1, d=grid.dq / (2.0 * math.pi))
+    kinetic = np.fft.ifft(0.5 * k[:, None] ** 2 * np.fft.fft(np.eye(k.size), axis=0), axis=0)
+    energies, modes = eigh(kinetic + np.diag(0.5 * q[:-1] ** 2))
     psi0 = math.pi**-0.25 * np.exp(-0.5 * q * q + 2j * q)
     t1 = 0.5 * math.pi
-    exact = modes @ (np.exp(-1j * t1 * energies) * (modes.T @ psi0))
-    # Relative errors in the Euclidean norm, which a unitary step keeps.
-    norm0 = np.linalg.norm(psi0)
+    exact = modes @ (np.exp(-1j * t1 * energies) * (modes.conj().T @ psi0[:-1]))
+    # Relative errors in the Euclidean norm of the periodic samples, which
+    # a unitary step keeps.
+    norm0 = np.linalg.norm(psi0[:-1])
     errors = []
-    for n_steps in (125, 250, 500):
+    for n_steps in (50, 100, 200):
         evolved = crank_nicolson_evolve(params, psi0, grid, 0.0, t1, n_steps)
-        errors.append(np.linalg.norm(evolved - exact) / norm0)
-        assert abs(np.linalg.norm(evolved) / norm0 - 1.0) < 1e-13
+        assert evolved[-1] == evolved[0]
+        errors.append(np.linalg.norm(evolved[:-1] - exact) / norm0)
+        assert abs(np.linalg.norm(evolved[:-1]) / norm0 - 1.0) < 1e-13
     assert errors[0] < 1e-6
     for coarse, fine in zip(errors, errors[1:]):
         assert 12.0 < coarse / fine < 20.0
@@ -563,13 +559,14 @@ def test_cn_matches_the_exact_exponential_of_its_generator():
 def test_cn_grid_sized_from_narrowest_spread():
     # In the frame Q = e^{gamma t/2} q the spreads range over e^{2r}
     # whatever the damping, so the point count depends on r alone:
-    # ceil(24 * 16 * e^{2r}), from 257 sampled spreads, rounded up to odd,
-    # at least 513 and at most CN_MAX_POINTS.
+    # ceil(24 * 4 * e^{2r}), from 257 sampled spreads, rounded up to
+    # 2^k + 1, at least 513 and at most CN_MAX_POINTS.
     for gamma in (0.0, 1.2, 1.8, 1.95):
         params = make_params(1.0, gamma, 1.0, 1.0)
         assert _cn_grid(params, SqueezeParams(0.0, 1.0)).n_points == 513
-        assert _cn_grid(params, SqueezeParams(0.5, 1.0)).n_points == 1045
-        assert _cn_grid(params, SqueezeParams(1.0, 1.0)).n_points == 2837
+        assert _cn_grid(params, SqueezeParams(0.5, 1.0)).n_points == 513
+        assert _cn_grid(params, SqueezeParams(1.0, 1.0)).n_points == 1025
+        assert _cn_grid(params, SqueezeParams(2.0, 1.0)).n_points == 8193
         assert _cn_grid(params, SqueezeParams(3.0, 1.0)).n_points == CN_MAX_POINTS
     assert CN_MAX_POINTS == 32769
 
@@ -577,8 +574,8 @@ def test_cn_grid_sized_from_narrowest_spread():
 def test_cn_frame_resolves_strong_damping():
     # In q the packet narrows about 650x (gamma/(2 omega0) = 0.9) and
     # 1e6x (0.975) within a period; in the frame it keeps its width, so
-    # the deficit stays at the undamped level: the chosen 195 steps over
-    # the 1.37-period window give 2.0e-11 at each damping.
+    # the deficit stays at the undamped level: the 137 steps over the
+    # 1.37-period window give at most 1.1e-14 at each damping.
     squeeze = SqueezeParams(0.5, 1.0)
     for gamma in (0.0, 1.8, 1.95):
         deficit, drift = cn_cross_check(make_params(1.0, gamma, 1.0, 1.0), squeeze)
@@ -587,81 +584,53 @@ def test_cn_frame_resolves_strong_damping():
 
 
 def test_cn_larger_squeeze_passes_with_more_steps(cn_step_counts):
-    # The grid grows with e^{2r}, and the Pade time error faster: at r = 1.5
-    # (7699 points) a fixed 500 steps read 5.8e-6, above the tolerance.  The
-    # check chooses its own count, 2544 steps, and reads 4.5e-11.
+    # The grid grows with e^{2r}, and the split scheme's time error slowly:
+    # at r = 1.5 (2049 points) the floor of 100 steps per period reads
+    # 4.4e-12.
     squeeze = SqueezeParams(1.5, 1.0)
     deficit, drift = cn_cross_check(P_STAR, squeeze)
-    assert cn_step_counts[0] > 2000
+    assert cn_step_counts == [_floor_steps(P_STAR)]
     assert deficit < ToleranceConfig().cn_fidelity
     assert drift < ToleranceConfig().cn_norm_drift
 
 
-def _numerov_spread(params, grid, phi0):
-    """X = ||(H/hbar - <H/hbar>)^5 phi0|| / ||phi0|| for the Numerov
-    Hamiltonian H/hbar = -kin M^{-1} D + V of undamped ``params``, with
-    scipy's banded solver for M = tridiag(1, 10, 1)/12."""
-    from scipy.linalg import solve_banded
-
-    Q = grid.points()
-    kin = params.hbar / (2.0 * params.m0 * grid.dq**2)
-    potential = params.m0 * params.omega0**2 * Q * Q / (2.0 * params.hbar)
-    mass = np.empty((3, Q.size))
-    mass[0] = mass[2] = 1.0 / 12.0
-    mass[1] = 10.0 / 12.0
-
-    def hamiltonian(psi):
-        d_psi = -2.0 * psi
-        d_psi[:-1] += psi[1:]
-        d_psi[1:] += psi[:-1]
-        return solve_banded((1, 1), mass, -kin * d_psi) + potential * psi
-
-    h_phi = hamiltonian(phi0)
-    mean = np.vdot(phi0, h_phi).real / np.vdot(phi0, phi0).real
-    spread = h_phi - mean * phi0
-    for _ in range(4):
-        spread = hamiltonian(spread) - mean * spread
-    return np.linalg.norm(spread) / np.linalg.norm(phi0)
+def test_cn_strongest_squeeze_passes_on_the_capped_grid():
+    # r = 3 on 32769 points, the cap, reads 1.8e-9 at the floor's 137 steps.
+    deficit, drift = cn_cross_check(P_STAR, SqueezeParams(3.0, 1.0))
+    assert deficit < 1e-8
+    assert drift < ToleranceConfig().cn_norm_drift
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1.95])
 @pytest.mark.parametrize("r", [0.25, 0.5, 1.0])
 def test_cn_step_count_meets_its_deficit(cn_step_counts, r, gamma):
-    # N steps of the (2,2) Pade scheme, error constant 1/720, leave a deficit
-    # of about (T^5 X/(720 N^4))^2.  N is chosen for CN_STEP_DEFICIT = 1e-11,
-    # at least 100 steps per period (137 over the window, which sets N at
-    # r = 0.25); observed 2.0-3.2x the prediction at 137, 195 and 727 steps.
+    # The cross-check takes the propagator's floor, 100 steps per period
+    # (137 over the window, 138 where 1.37 periods round up), at every
+    # squeeze, and that meets a 1e-11 deficit: observed at most 5.1e-13,
+    # at r = 1.
     params = make_params(1.0, gamma, 1.0, 1.0)
-    squeeze = SqueezeParams(r, 1.0)
-    deficit, _ = cn_cross_check(params, squeeze)
-    (n_steps,) = cn_step_counts
-    grid = _cn_grid(params, squeeze)
-    phi0 = _in_frame(params, StateSpec.number(0, squeeze), 0.0, grid.points())
-    x = _numerov_spread(_frame_params(params), grid, phi0)
-    t1 = CN_PERIODS * math.pi / params.omega
-    chosen = max(
-        100.0 * CN_PERIODS, t1 * (t1 * x / (720.0 * math.sqrt(CN_STEP_DEFICIT))) ** 0.25
-    )
-    assert abs(n_steps - math.ceil(chosen)) <= 1
-    predicted = (t1**5 * x / (720.0 * n_steps**4)) ** 2
-    assert deficit < 1e-10
-    assert predicted / 5.0 < deficit < 5.0 * predicted
+    deficit, _ = cn_cross_check(params, SqueezeParams(r, 1.0))
+    assert cn_step_counts == [_floor_steps(params)]
+    assert cn_step_counts[0] in (137, 138)
+    assert deficit < 1e-11
 
 
-def test_cn_refuses_a_step_count_above_its_cap(cn_step_counts):
-    # r = 3 needs about 1e5 steps on 32769 points: refused before any step.
-    with pytest.raises(ValueError, match=r"needs 10\d{4} steps .* CN_MAX_STEPS = 16384") as excinfo:
-        cn_cross_check(P_STAR, SqueezeParams(3.0, 1.0))
-    assert "\n" not in str(excinfo.value)
-    assert cn_step_counts == []
-    assert CN_MAX_STEPS == 16384
-    # A spread that is no number is refused the same way.
-    params = _frame_params(P_STAR)
-    grid = GridSpec(-8.0, 8.0, 513)
-    psi0 = eval_number_state(params, GROUND, 0.0, grid.points())
-    psi0[grid.n_points // 2] = math.nan
-    with pytest.raises(ValueError, match="needs nan steps"):
-        _cn_steps(params, grid, psi0, 1.0)
+@settings(max_examples=20, deadline=None)
+@given(
+    m0=st.floats(math.log(0.5), math.log(2.0)).map(math.exp),
+    omega0=st.floats(math.log(0.5), math.log(2.0)).map(math.exp),
+    hbar=st.floats(math.log(0.5), math.log(2.0)).map(math.exp),
+    damping=st.floats(0.0, 0.975),
+    r=st.floats(0.0, 2.0),
+    phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+)
+def test_cn_cross_check_over_the_parameter_domain(m0, omega0, hbar, damping, r, phi):
+    # The benchmark's ranges, squeeze up to r = 2 (8193 points): the deficit
+    # grows as e^{4r} or so and reads about 3e-11 at r = 2.
+    params = make_params(m0, 2.0 * omega0 * damping, omega0, hbar)
+    deficit, drift = cn_cross_check(params, SqueezeParams(r, phi))
+    assert deficit < 1e-9
+    assert drift < 1e-12
 
 
 def test_cn_frame_matches_closed_form_mid_period():
@@ -685,10 +654,9 @@ def test_cn_frame_matches_closed_form_mid_period():
 
 def test_cn_undamped_coherent_orbit_closes():
     # One full period at gamma = 0 returns the packet to its starting
-    # point.  The position mean closes to stencil accuracy; the momentum
-    # mean carries the 4th-order time error (3.1e-8 at this step count,
-    # the floor of 250 per period, shrinking by 16x per step doubling), so
-    # its gate is looser.
+    # point.  The position mean closes to rounding (5e-13); the momentum
+    # mean carries the fourth-order time error (1.2e-8 at 500 steps, 4.6e-7
+    # at 200), so its gate is looser.
     params = make_params(1.0, 0.0, 1.0, 1.0)
     q_c0 = 1.131370849898476
     spec = StateSpec.coherent(q_c0, 0.0, NO_SQUEEZE)
@@ -703,12 +671,32 @@ def test_cn_undamped_coherent_orbit_closes():
 
 def test_cn_raises_on_boundary_leak():
     # A 3-sigma box cannot contain the tails; the edge-mass monitor must
-    # abort instead of silently reflecting probability.
+    # abort instead of silently wrapping probability round the box.
     sigma = math.sqrt(0.625)
     grid = GridSpec(-3.0 * sigma, 3.0 * sigma, 513)
     psi0 = _in_frame(P_STAR, GROUND, 0.0, grid.points())
-    with pytest.raises(BoundaryLeakError):
+    with pytest.raises(BoundaryLeakError, match=r"at t=0\.000000;"):
         crank_nicolson_evolve(_frame_params(P_STAR), psi0, grid, 0.0, 0.1, 40)
+
+
+def test_cn_catches_a_packet_boosted_across_the_seam():
+    # The box is periodic, so a packet whose orbit (amplitude 10) leaves
+    # [-6, 6] would come back in through the far side.  Its centre reaches
+    # the seam at t = asin(0.6) = 0.6435; the guard must stop it earlier,
+    # when its front carries mass onto the edge samples.
+    params = make_params(1.0, 0.0, 1.0, 1.0)
+    grid = GridSpec(-6.0, 6.0, 1025)
+    psi0 = eval_coherent_state(params, StateSpec.coherent(0.0, 10.0, NO_SQUEEZE), 0.0, grid.points())
+    with pytest.raises(BoundaryLeakError) as excinfo:
+        crank_nicolson_evolve(params, psi0, grid, 0.0, 1.0, 400)
+    t_leak = float(excinfo.value.args[0].rpartition("t=")[2].partition(";")[0])
+    assert 0.0 < t_leak < math.asin(0.6)
+    # Unguarded, the same steps carry the packet round: at t = 1 its orbit
+    # is at 10 sin 1 = 8.4, which the box shows at 8.4 - 12 = -3.6.
+    for psi, _ in _per_step_cn(params, psi0, grid, 0.0, 1.0, 400):
+        pass
+    density = np.abs(psi) ** 2
+    assert simpson(density * (grid.points() < 0.0), dx=grid.dq) > 0.99
 
 
 def test_cn_rejects_coarse_stepping():
@@ -755,7 +743,8 @@ def test_cn_rejects_infinite_window(t0, t1):
 
 
 def test_cn_refuses_damped_params():
-    # Only the undamped frame has the constant Hamiltonian that is factored once.
+    # Only the undamped frame has the constant Hamiltonian whose parts are
+    # exponentiated once.
     grid = GridSpec(-8.0, 8.0, 513)
     psi0 = eval_number_state(P_STAR, GROUND, 0.0, grid.points())
     with pytest.raises(ValueError, match="gamma"):
@@ -763,50 +752,46 @@ def test_cn_refuses_damped_params():
 
 
 def _per_step_cn(params, psi0, grid, t0, t1, n_steps):
-    """Reference propagation: the two Pade(2,2) stages of each step, with the
-    bands of each stage matrix L_j = M + (i dt/z_j) A written out, the
-    right-hand matrix their conjugate, and scipy's solve_banded, which
-    refactors L_j at every solve.  Yields the samples and the time after
-    each step."""
-    from scipy.linalg import solve_banded
-
-    Q = grid.points()
+    """Reference propagation: each step is Yoshida's triple jump of Strang
+    steps, its seven factors applied one at a time, the potential phases on
+    the n - 1 periodic grid points and the kinetic phases between an FFT and
+    its inverse.  Yields the n samples, the last the image of the first, and
+    the time after each step."""
+    q = grid.points()[:-1]
     dt = (t1 - t0) / n_steps
-    kin = params.hbar / (2.0 * params.m0 * grid.dq**2)
-    pot12 = (params.m0 * params.omega0**2 / (24.0 * params.hbar)) * Q * Q
-    bands = []
-    for z in (complex(3.0, math.sqrt(3.0)), complex(3.0, -math.sqrt(3.0))):
-        w = 1j * dt / z
-        ab = np.empty((3, Q.size), dtype=complex)
-        ab.real[0] = ab.real[2] = 1.0 / 12.0 + w.real * (pot12 - kin)
-        ab.imag[0] = ab.imag[2] = w.imag * (pot12 - kin)
-        ab.real[1] = 10.0 / 12.0 + w.real * (pot12 * 10.0 + 2.0 * kin)
-        ab.imag[1] = w.imag * (pot12 * 10.0 + 2.0 * kin)
-        bands.append(ab)
-    psi = np.asarray(psi0, dtype=complex)
-    for k in range(n_steps):
-        for ab in bands:
-            rhs = ab[1].conjugate() * psi
-            side = ab[0].conjugate() * psi
-            rhs[:-1] += side[1:]
-            rhs[1:] += side[:-1]
-            psi = solve_banded((1, 1), ab, rhs)
-        yield psi, t0 + (k + 1) * dt
+    w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+    w0 = 1.0 - 2.0 * w1
+    k = np.fft.fftfreq(q.size, d=grid.dq / (2.0 * math.pi))
+    potential = (-0.5j * dt * params.m0 * params.omega0**2 / params.hbar) * q * q
+    kinetic = (-0.5j * dt * params.hbar / params.m0) * k * k
+    half_kick_1 = np.exp(0.5 * w1 * potential)
+    joint_kick = np.exp(0.5 * (w1 + w0) * potential)
+    psi = np.asarray(psi0, dtype=complex)[:-1]
+    for step in range(n_steps):
+        psi = psi * half_kick_1
+        psi = np.fft.ifft(np.fft.fft(psi) * np.exp(w1 * kinetic))
+        psi = psi * joint_kick
+        psi = np.fft.ifft(np.fft.fft(psi) * np.exp(w0 * kinetic))
+        psi = psi * joint_kick
+        psi = np.fft.ifft(np.fft.fft(psi) * np.exp(w1 * kinetic))
+        psi = psi * half_kick_1
+        yield np.append(psi, psi[:1]), t0 + (step + 1) * dt
 
 
 def test_cn_equals_per_step_solve_banded_bit_for_bit():
-    # Factoring once and solving in place must not move one bit, whether
-    # the steps end inside an edge-mass block, on its end or just past it.
+    # Precomputed phases and in-place transforms must not move one bit
+    # against the per-factor loop, whether the steps end inside an
+    # edge-mass block, on its end or just past it.
     params = _frame_params(P_STAR)
     squeeze = SqueezeParams(0.5, 1.0)
     grid = _cn_grid(P_STAR, squeeze)
     Q = grid.points()
     phi0 = _in_frame(P_STAR, StateSpec.number(0, squeeze), 0.0, Q)
     phi0_bytes = phi0.tobytes()
-    assert grid.n_points == 1045
+    assert grid.n_points == 513
     # At least 100 steps per period in each window.
     for n_steps, periods in (
-        (500, CN_PERIODS),
+        (137, CN_PERIODS),
         (_EDGE_BLOCK - 1, 0.25),
         (_EDGE_BLOCK, 0.25),
         (_EDGE_BLOCK + 1, 0.25),
@@ -818,24 +803,6 @@ def test_cn_equals_per_step_solve_banded_bit_for_bit():
         assert evolved.tobytes() == psi.tobytes()
         assert phi0.tobytes() == phi0_bytes
         assert not np.shares_memory(evolved, phi0)
-
-
-def test_cn_calls_solve_banded_twice_per_step(monkeypatch):
-    # The traced oracle.solve_banded counts one call per stage, two per step.
-    calls = []
-    solve = oracle.solve_banded
-
-    def counting(factor, rhs):
-        calls.append(None)
-        return solve(factor, rhs)
-
-    monkeypatch.setattr(oracle, "solve_banded", counting)
-    params = _frame_params(P_STAR)
-    grid = GridSpec(-8.0, 8.0, 513)
-    psi0 = eval_number_state(params, GROUND, 0.0, grid.points())
-    n_steps = 2 * _EDGE_BLOCK + 7
-    crank_nicolson_evolve(params, psi0, grid, 0.0, 0.5, n_steps)
-    assert len(calls) == 2 * n_steps
 
 
 def _first_leak(params, psi0, grid, t0, t1, n_steps):
@@ -856,14 +823,14 @@ def _first_leak(params, psi0, grid, t0, t1, n_steps):
 
 
 def test_cn_leak_reports_the_first_offending_step():
-    # A coherent packet launched at the right wall first leaks at step 300,
-    # inside the second edge-mass block; the steps end in the third block,
-    # or in the second when that block is the last, partial one.
+    # A coherent packet launched towards the right wall first leaks near
+    # step 300, inside the second edge-mass block; the steps end in the
+    # third block, or in the second when that block is the last, partial one.
     params = _frame_params(P_STAR)
     grid = GridSpec(-6.0, 6.0, 513)
     spec = StateSpec.coherent(1.0, 3.0, NO_SQUEEZE)
     psi0 = eval_coherent_state(params, spec, 0.0, grid.points())
-    dt = 0.5 / 612
+    dt = 1.0 / 1800
     for n_steps in (2 * _EDGE_BLOCK + 100, _EDGE_BLOCK + 100):
         t1 = n_steps * dt
         first, expected = _first_leak(params, psi0, grid, 0.0, t1, n_steps)
@@ -961,6 +928,15 @@ def test_validate_routes_each_tolerance_to_its_entries():
         assert e.tolerance == expected, e.check_name
 
 
+def test_tolerance_config_refuses_nan_and_negative_values():
+    for value in (math.nan, -1.0, -1e-300):
+        with pytest.raises(ValueError, match=r"^tolerance residual must be >= 0, got"):
+            replace(ToleranceConfig(), residual=value)
+    # inf records without judging, and 0 fails every nonzero measurement.
+    assert replace(ToleranceConfig(), residual=math.inf).residual == math.inf
+    assert replace(ToleranceConfig(), residual=0.0).residual == 0.0
+
+
 def test_validate_skips_sim_wave_without_damping():
     undamped = make_params(1.0, 0.0, 1.0, 1.0)
     report = validate(undamped, schedule=(Check("sim_wave", (1,)),))
@@ -974,9 +950,9 @@ def test_validate_skips_sim_wave_without_damping():
 
 
 def test_validate_raising_check_fails_every_entry_of_its_kind():
-    # The flipped width already leaks at t = 0, which the cross-check
-    # refuses before it sizes its steps; cn_fidelity reports two entries,
-    # so both must record the failure.
+    # The flipped width already leaks at t = 0, which the propagator
+    # refuses before its first step; cn_fidelity reports two entries, so
+    # both must record the failure.
     schedule = (Check("cn_fidelity", (0.5, 1.0)),)
     report = validate(P_STAR, schedule=schedule, flip_b_sign=True)
     assert [e.check_name for e in report.entries] == ["cn_fidelity", "cn_norm_drift"]
