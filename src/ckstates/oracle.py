@@ -17,19 +17,21 @@ Agreement between these routes and the closed-form layer is what
 Spatial derivatives (momentum moments, energies, ladder operators, the
 Hamiltonian of the residual) and the kinetic phases of the propagator
 are those of the samples' trigonometric interpolant, so their error is
-the state's spectrum beyond the grid's Nyquist wavenumber; each such
-check sizes its grid from the wavenumbers the state carries, its chirp
-e^{-i Im B q^2} included.  Boxes leave a negligible boundary amplitude,
-so the samples are periodic to that accuracy; evolution monitors the
-mass near the boundary, which a packet wrapping round the periodic box
-must cross.
+the state's spectrum beyond the grid's Nyquist wavenumber.  Each check
+of one state at one instant samples it once, on one grid rule
+(:func:`_check_grid`) sized from the wavenumbers the state carries, its
+chirp e^{-i Im B q^2} included.  Boxes leave a negligible boundary
+amplitude, so the samples are periodic to that accuracy; evolution
+monitors the mass near the boundary, which a packet wrapping round the
+periodic box must cross.
 """
 
+import functools
 import json
 import math
 import numbers
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -124,8 +126,8 @@ class GridSpec:
     applicable, and its n - 1 intervals are one period of the spectral
     derivative.  The floor, 513, is 25 points per spread of a number state
     on :func:`make_grid`'s box, where Simpson is at rounding level.
-    :func:`make_grid`, the derivative checks and the propagation
-    cross-check round their counts up to 2^k + 1, FFT-friendly sizes.
+    :func:`make_grid`, the single-instant checks' :func:`_check_grid` and
+    the propagation cross-check round their counts up to 2^k + 1.
     """
 
     q_min: float
@@ -180,40 +182,46 @@ def _clamp_points(n_points: int) -> int:
 def make_grid(
     params: PhysicalParams, spec: StateSpec, t: float, n_points: int = 2049
 ) -> GridSpec:
-    """Grid covering the state's support at time t.
+    """Grid covering the state's support at time t: the CLI's
+    ``wavefunction`` grid; the checks take its box (:func:`_check_grid`).
 
-    Centered at the position expectation with half-width
-    max(10 sigma, |q_c| + 10 sigma), where sigma = sqrt(2n + 1)/(A sqrt(2))
-    is the position spread of the target state (the sqrt(2n + 1) factor
-    widens the ground-state length 1/(A sqrt(2)) to cover excited states).
-    The boundary density is then below e^{-50}.  Point counts are
-    clamped up to the nearest power of two plus one.
+    Centered at the position expectation with half-width |q_c| + 10 sigma,
+    where sigma = sqrt(2n + 1)/(A sqrt(2)) is the position spread of the
+    target state (the sqrt(2n + 1) factor widens the ground-state length
+    1/(A sqrt(2)) to cover excited states).  The boundary density is then
+    below e^{-50}.  Point counts are clamped up to the nearest power of two
+    plus one.
     """
-    coeffs = gauss_coeffs(params, spec.squeeze, t)
+    q_min, q_max = _box(spec, gauss_coeffs(params, spec.squeeze, t))
+    return GridSpec(q_min=q_min, q_max=q_max, n_points=_clamp_points(n_points))
+
+
+def _box(spec, coeffs):
+    """(q_min, q_max) of :func:`make_grid`'s box for the state ``spec``
+    whose Gaussian coefficients are ``coeffs``."""
     n = spec.n if spec.kind == "number" else 0
     sigma = math.sqrt(2 * n + 1) / (coeffs.A * math.sqrt(2.0))
     center = spec.q_c if spec.kind == "coherent" else 0.0
-    half = max(10.0 * sigma, abs(center) + 10.0 * sigma)
-    return GridSpec(
-        q_min=center - half, q_max=center + half, n_points=_clamp_points(n_points)
-    )
+    half = abs(center) + 10.0 * sigma
+    return center - half, center + half
 
 
 def _check_grid(params: PhysicalParams, spec: StateSpec, t: float) -> GridSpec:
-    """Grid of the derivative checks: :func:`make_grid`'s box, dq <= pi/k_max.
+    """Grid of the single-instant checks: :func:`make_grid`'s box, dq <= pi/k_max.
 
     k_max = 2 |Im B| h + |p_c|/hbar + 10 sqrt(2n + 1) A/sqrt(2) sums the
     chirp's local wavenumber at the box's half-width h, the plane wave of a
-    coherent state, and ten momentum spreads of |psi|.
+    coherent state, and ten momentum spreads of |psi|.  One evaluation of
+    the Gaussian coefficients serves the box and k_max.
     """
-    box = make_grid(params, spec, t)
     coeffs = gauss_coeffs(params, spec.squeeze, t)
+    q_min, q_max = _box(spec, coeffs)
     n = spec.n if spec.kind == "number" else 0
-    width = box.q_max - box.q_min
+    width = q_max - q_min
     k_max = abs(coeffs.B.imag) * width + abs(spec.p_c) / params.hbar
     k_max += 10.0 * math.sqrt(2 * n + 1) * coeffs.A / math.sqrt(2.0)
     n_points = _clamp_points(math.ceil(width * k_max / math.pi) + 1)
-    return replace(box, n_points=min(n_points, CHECK_MAX_POINTS))
+    return GridSpec(q_min=q_min, q_max=q_max, n_points=min(n_points, CHECK_MAX_POINTS))
 
 
 def simpson(y: np.ndarray, dx: float):
@@ -257,7 +265,9 @@ def moments(
     Composite Simpson integrates |psi|^2 q^k for <q^k>, psi* (-i hbar) psi'
     for <p> and hbar^2 |psi'|^2 for <p^2> (equal by parts for periodic
     samples, with rounding that grows as the Nyquist wavenumber, not its
-    square), psi' the spectral derivative.  The energy assembles
+    square), psi' the spectral derivative.  The five integrands are stacked
+    and summed in one :func:`simpson` pass, row by row, with the bits of
+    five separate sums.  The energy assembles
     e^{-gamma t} <p^2>/(2 m0) + (m0 omega0^2/2) e^{gamma t} <q^2>, so ``t``
     must be the evaluation time of the samples.
     """
@@ -265,13 +275,11 @@ def moments(
     if psi.shape != q.shape:
         raise ValueError(f"samples shape {psi.shape} does not match grid {q.shape}")
     dens = np.abs(psi) ** 2
-    norm = float(simpson(dens, dx=grid.dq))
-    q_mean = float(simpson(dens * q, dx=grid.dq))
-    q2 = float(simpson(dens * q * q, dx=grid.dq))
-    conj = psi.conjugate()
     dpsi = _derivative(psi, grid.dq, 1)
-    p_mean = float(simpson((conj * (-1j * params.hbar) * dpsi).real, dx=grid.dq))
-    p2 = params.hbar**2 * float(simpson(np.abs(dpsi) ** 2, dx=grid.dq))
+    p_density = (psi.conjugate() * (-1j * params.hbar) * dpsi).real
+    integrands = np.stack((dens, dens * q, dens * q * q, p_density, np.abs(dpsi) ** 2))
+    norm, q_mean, q2, p_mean, p2 = map(float, simpson(integrands, dx=grid.dq))
+    p2 = params.hbar**2 * p2
     energy = math.exp(-params.gamma * t) * p2 / (2.0 * params.m0) + (
         0.5 * params.m0 * params.omega0**2 * math.exp(params.gamma * t) * q2
     )
@@ -370,10 +378,13 @@ def schrodinger_residual(
     the anchor of :func:`coherent_trajectory` at time t, and the stencil
     samples move along that path, so the residual probes one solution,
     the path the library gives, rather than a family of re-centered
-    states; H psi is differentiated in q spectrally.
+    states; H psi is differentiated in q spectrally.  The stencils at
+    delta/2 and delta share the times t +- delta (2 (delta/2) = delta
+    exactly), so the state is sampled once at each of 7 distinct times.
     """
     q = grid.points()
 
+    @functools.cache
     def psi_at(tt: float) -> np.ndarray:
         state = spec
         if spec.kind == "coherent":
@@ -657,10 +668,10 @@ class ToleranceConfig:
     bogoliubov: float = 1e-6
     cn_fidelity: float = 1e-6
     cn_norm_drift: float = 1e-8
-    sim_wave: float = 1e-9
+    sim_wave: float = 1e-9  # relative to max |psi_sho|
     coherent_moment: float = 1e-8
     coherent_uncertainty: float = 1e-9
-    time_avg_slack: float = 1e-9
+    time_avg_slack: float = 1e-9  # relative to the bound
 
     def __post_init__(self) -> None:
         # A nan tolerance fails every comparison and a negative one every
@@ -805,11 +816,12 @@ def _state(kind: str, *point) -> tuple[StateSpec, float]:
     return StateSpec(kind, squeeze, int(n)), t
 
 
-def _number_samples(params, flip, n, squeeze, t):
-    """Check grid and samples of the number state (n, squeeze) at time t."""
-    spec = StateSpec.number(int(n), squeeze)
+def _check_samples(params, flip, spec, t):
+    """Check grid of the state ``spec`` at time t, its points and the
+    state's samples there, built once per single-instant check."""
     grid = _check_grid(params, spec, t)
-    return grid, _sample(params, spec, t, grid.points(), flip)
+    q = grid.points()
+    return grid, q, _sample(params, spec, t, q, flip)
 
 
 # Measuring functions, one per check kind: (params, flip_b_sign, *check
@@ -823,15 +835,13 @@ def _wronskian(params, flip, r, phi, t):
 
 
 def _normalization(params, flip, kind, *point):
-    spec, t = _state(kind, *point)
-    grid = make_grid(params, spec, t)
-    psi = _sample(params, spec, t, grid.points(), flip)
+    grid, _, psi = _check_samples(params, flip, *_state(kind, *point))
     return abs(float(simpson(np.abs(psi) ** 2, dx=grid.dq)) - 1.0)
 
 
 def _moments_product(params, flip, n, r, phi, t):
     squeeze = SqueezeParams(r=r, phi=phi)
-    grid, psi = _number_samples(params, flip, n, squeeze, t)
+    grid, _, psi = _check_samples(params, flip, StateSpec.number(int(n), squeeze), t)
     m = moments(params, psi, grid, t=t)
     quad = math.sqrt(abs((m.q2 - m.q_mean**2) * (m.p2 - m.p_mean**2)))
     closed = uncertainty_product(params, int(n), squeeze, t).product
@@ -840,12 +850,13 @@ def _moments_product(params, flip, n, r, phi, t):
 
 def _energy(params, flip, n, r, phi, t):
     squeeze = SqueezeParams(r=r, phi=phi)
-    grid, psi = _number_samples(params, flip, n, squeeze, t)
+    grid, _, psi = _check_samples(params, flip, StateSpec.number(int(n), squeeze), t)
     closed = hamiltonian_expectation(params, int(n), squeeze, t)
     return abs(moments(params, psi, grid, t=t).energy - closed) / abs(closed)
 
 
 def _residual(params, flip, kind, *point):
+    # The residual samples its state itself, along its time stencil.
     spec, t = _state(kind, *point)
     grid = _check_grid(params, spec, t)
     return schrodinger_residual(params, spec, t, grid, flip_b_sign=flip)
@@ -853,16 +864,16 @@ def _residual(params, flip, kind, *point):
 
 def _ladder_vacuum(params, flip, r, phi, t):
     squeeze = SqueezeParams(r=r, phi=phi)
-    grid, psi = _number_samples(params, flip, 0, squeeze, t)
+    grid, _, psi = _check_samples(params, flip, StateSpec.number(0, squeeze), t)
     lowered = apply_annihilation(params, squeeze, t, psi, grid)
     return _l2(lowered, grid.dq) / _l2(psi, grid.dq)
 
 
 def _ladder_step(params, flip, n, r, phi, t):
     squeeze = SqueezeParams(r=r, phi=phi)
-    grid, psi = _number_samples(params, flip, n, squeeze, t)
+    grid, q, psi = _check_samples(params, flip, StateSpec.number(int(n), squeeze), t)
     below = StateSpec.number(int(n) - 1, squeeze)
-    ref = math.sqrt(n) * _sample(params, below, t, grid.points(), flip)
+    ref = math.sqrt(n) * _sample(params, below, t, q, flip)
     lowered = apply_annihilation(params, squeeze, t, psi, grid)
     return _l2(lowered - ref, grid.dq) / _l2(ref, grid.dq)
 
@@ -871,7 +882,8 @@ def _ladder_bogoliubov(params, flip, r, phi, t):
     squeeze = SqueezeParams(r=r, phi=phi)
     # Generic test function: an excited state of a different family, so
     # neither side of the identity degenerates to 0 or a pure ladder step.
-    grid, psi = _number_samples(params, flip, 2, SqueezeParams(r=0.3, phi=0.7), t)
+    probe = StateSpec.number(2, SqueezeParams(r=0.3, phi=0.7))
+    grid, _, psi = _check_samples(params, flip, probe, t)
     base = SqueezeParams(r=0.0, phi=0.0)
     lhs = apply_annihilation(params, squeeze, t, psi, grid)
     rhs = squeeze.mu.conjugate() * apply_annihilation(
@@ -888,8 +900,7 @@ def _sim_wave(params, flip, n):
     if params.gamma <= 0.0:
         raise _Skipped("special squeeze is undefined for gamma = 0")
     spec = StateSpec.number(int(n), special_squeeze(params))
-    q = make_grid(params, spec, 0.0).points()
-    psi = _sample(params, spec, 0.0, q, flip)
+    _, q, psi = _check_samples(params, flip, spec, 0.0)
     a0 = math.sqrt(params.m0 * params.omega / params.hbar)
     sho = (
         (2.0 ** int(n) * math.factorial(int(n))) ** -0.5
@@ -900,7 +911,8 @@ def _sim_wave(params, flip, n):
     phase = np.exp(
         -1j * math.atan(params.gamma / (4.0 * params.omega)) * (int(n) + 0.5)
     )
-    return float(np.max(np.abs(psi - phase * sho)))
+    ref = phase * sho
+    return float(np.max(np.abs(psi - ref)) / np.max(np.abs(ref)))
 
 
 def _eigenvalue_path(params, squeeze, alpha, t):
@@ -925,9 +937,7 @@ def _eigenvalue_path(params, squeeze, alpha, t):
 def _coherent_moments(params, flip, alpha_re, alpha_im, r, phi, t):
     squeeze = SqueezeParams(r=r, phi=phi)
     q_c, p_c = _eigenvalue_path(params, squeeze, complex(alpha_re, alpha_im), t)
-    spec = StateSpec.coherent(q_c, p_c, squeeze)
-    grid = _check_grid(params, spec, t)
-    psi = _sample(params, spec, t, grid.points(), flip)
+    grid, _, psi = _check_samples(params, flip, StateSpec.coherent(q_c, p_c, squeeze), t)
     m = moments(params, psi, grid, t=t)
     scale = max(1.0, abs(q_c), abs(p_c))
     return max(abs(m.q_mean - q_c), abs(m.p_mean - p_c)) / scale, m.warning or ""
@@ -947,7 +957,8 @@ def _coherent_uncertainty(params, flip, r, phi, t):
 
 def _time_avg_bound(params, flip, n, r, phi):
     avg = uncertainty_time_avg(params, int(n), SqueezeParams(r=r, phi=phi)).numeric
-    return avg - 0.5 * params.hbar * sigma0(params) * (2 * int(n) + 1)
+    bound = 0.5 * params.hbar * sigma0(params) * (2 * int(n) + 1)
+    return (avg - bound) / bound
 
 
 def _time_avg_gap(params, flip, r, phi):

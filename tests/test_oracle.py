@@ -15,9 +15,15 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from ckstates import oracle
-from ckstates.modes import SqueezeParams, make_params
+from ckstates.modes import SqueezeParams, make_params, special_squeeze
 from ckstates.observables import uncertainty_product
-from ckstates.states import StateSpec, eval_coherent_state, eval_number_state, gauss_coeffs
+from ckstates.states import (
+    StateSpec,
+    coherent_trajectory,
+    eval_coherent_state,
+    eval_number_state,
+    gauss_coeffs,
+)
 from ckstates.oracle import (
     BOUNDARY_LEAK_TOL,
     BoundaryLeakError,
@@ -46,6 +52,7 @@ from ckstates.oracle import (
     _in_frame,
     _l2,
     _sample,
+    _state,
     simpson as oracle_simpson,
 )
 
@@ -234,6 +241,42 @@ def test_moments_rejects_shape_mismatch():
         moments(P_STAR, np.zeros(7, dtype=complex), grid, t=0.0)
 
 
+def _five_sums(params, psi, grid):
+    """The (norm, <q>, <q^2>, <p>, <p^2>) sums of :func:`moments`, each by
+    its own simpson call: the reference for the stacked single call."""
+    q = grid.points()
+    dens = np.abs(psi) ** 2
+    conj = psi.conjugate()
+    dpsi = _derivative(psi, grid.dq, 1)
+    return (
+        float(oracle_simpson(dens, dx=grid.dq)),
+        float(oracle_simpson(dens * q, dx=grid.dq)),
+        float(oracle_simpson(dens * q * q, dx=grid.dq)),
+        float(oracle_simpson((conj * (-1j * params.hbar) * dpsi).real, dx=grid.dq)),
+        params.hbar**2 * float(oracle_simpson(np.abs(dpsi) ** 2, dx=grid.dq)),
+    )
+
+
+@pytest.mark.parametrize("n_points", [513, 1025, 8193, 32769])
+def test_moments_equal_five_separate_sums_bit_for_bit(n_points):
+    spec = StateSpec.coherent(1.2, -0.7, SqueezeParams(0.9, 2.0))
+    grid = replace(make_grid(P_STAR, spec, 0.3), n_points=n_points)
+    rng = np.random.default_rng(n_points)
+    noise = rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
+    for psi in (eval_coherent_state(P_STAR, spec, 0.3, grid.points()), noise):
+        m = moments(P_STAR, psi, grid, t=0.3)
+        got = (m.norm, m.q_mean, m.q2, m.p_mean, m.p2)
+        assert [x.hex() for x in got] == [x.hex() for x in _five_sums(P_STAR, psi, grid)]
+
+
+def test_moments_sum_in_one_simpson_call(monkeypatch):
+    grid = make_grid(P_STAR, GROUND, 0.7)
+    psi = eval_number_state(P_STAR, GROUND, 0.7, grid.points())
+    calls = _counted(monkeypatch, "simpson")
+    moments(P_STAR, psi, grid, t=0.7)
+    assert len(calls) == 1 and calls[0][0].shape == (5, grid.n_points)
+
+
 # gamma/(2 omega0) = 0.941: a strongly damped benchmark draw (validate seed
 # 502, op 12) at which squeezed states carry a steep chirp.
 P_DAMPED = make_params(
@@ -288,25 +331,37 @@ def test_moments_converge_spectrally():
 
 
 def test_check_grid_resolves_chirp_and_covers_ten_spreads():
-    # Over the default schedule's 36 moments_product points at three
-    # dampings: the Nyquist wavenumber pi/dq covers the chirp's local
-    # wavenumber at the box edge plus ten momentum spreads, and the box
-    # reaches ten position spreads on either side.
+    # Over the default schedule's 36 moments_product, 4 normalization and
+    # (with damping) 3 sim_wave states at three dampings: the Nyquist
+    # wavenumber pi/dq covers the chirp's local wavenumber at the box edge,
+    # a coherent state's plane wave and ten momentum spreads, and the box
+    # reaches ten position spreads on either side of the state's centre.
     for ratio in (0.0, 0.6, 0.975):
         params = make_params(1.0, 2.0 * ratio, 1.0, 1.0)
-        points = [c.args for c in default_schedule(params) if c.name == "moments_product"]
-        assert len(points) == 36
-        for n, r, phi, t in points:
-            spec = StateSpec.number(n, SqueezeParams(r, phi))
+        states = []
+        for check in default_schedule(params):
+            if check.name == "moments_product":
+                n, r, phi, t = check.args
+                states.append((StateSpec.number(n, SqueezeParams(r, phi)), t))
+            elif check.name == "normalization":
+                states.append(_state(*check.args))
+            elif check.name == "sim_wave" and ratio > 0.0:
+                states.append((StateSpec.number(check.args[0], special_squeeze(params)), 0.0))
+        assert len(states) == (43 if ratio > 0.0 else 40)
+        for spec, t in states:
             grid = _check_grid(params, spec, t)
             coeffs = gauss_coeffs(params, spec.squeeze, t)
-            sigma = math.sqrt(2 * n + 1) / (coeffs.A * math.sqrt(2.0))
+            # spec.n is 0 for a coherent state, and spec.q_c, spec.p_c 0
+            # for a number state.
+            sigma = math.sqrt(2 * spec.n + 1) / (coeffs.A * math.sqrt(2.0))
             half = 0.5 * (grid.q_max - grid.q_min)
             # A number state's momentum spread (of |psi|, without the
             # chirp) is (n + 1/2)/sigma.
-            k_max = 2.0 * abs(coeffs.B.imag) * half + 10.0 * (n + 0.5) / sigma
+            k_max = 2.0 * abs(coeffs.B.imag) * half + 10.0 * (spec.n + 0.5) / sigma
+            k_max += abs(spec.p_c) / params.hbar
             assert k_max * grid.dq <= math.pi
-            assert grid.q_min <= -10.0 * sigma and grid.q_max >= 10.0 * sigma
+            assert grid.q_min <= spec.q_c - 10.0 * sigma
+            assert grid.q_max >= spec.q_c + 10.0 * sigma
             assert grid.n_points <= CHECK_MAX_POINTS
 
 
@@ -314,6 +369,40 @@ def test_check_grid_point_count_is_capped():
     params = make_params(1.0, 2.0 * 0.99999, 1.0, 1.0)
     spec = StateSpec.number(4, SqueezeParams(1.5, 1.0))
     assert _check_grid(params, spec, 0.3).n_points == CHECK_MAX_POINTS
+
+
+def _counted(monkeypatch, name: str) -> list:
+    """Replace ``oracle.<name>`` with a wrapper that records each call's
+    arguments in the returned list."""
+    calls = []
+    original = getattr(oracle, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.2])
+def test_validate_makes_no_make_grid_call(monkeypatch, gamma):
+    # Every single-instant check takes _check_grid's grid; make_grid is the
+    # grid of the CLI's wavefunction table only.
+    calls = _counted(monkeypatch, "make_grid")
+    assert validate(make_params(1.0, gamma, 1.0, 1.0)).all_passed
+    assert calls == []
+
+
+def test_check_grid_evaluates_the_gaussian_coefficients_once(monkeypatch):
+    calls = _counted(monkeypatch, "gauss_coeffs")
+    for spec in (
+        StateSpec.number(3, SqueezeParams(0.6, 1.0)),
+        StateSpec.coherent(1.0, -0.5, SqueezeParams(0.7, 2.0)),
+    ):
+        calls.clear()
+        _check_grid(P_DAMPED, spec, 0.8)
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------- ladder operators
@@ -415,6 +504,50 @@ def test_residual_detects_perturbed_width():
 
     assert residual_for(1.0) < 1e-6
     assert residual_for(1.01) > 1e-3
+
+
+def _nine_sample_residual(params, spec, t, grid):
+    """schrodinger_residual with its two stencils sampled apart, 1 + 4 + 4
+    samples: the reference for the shared-sample stencil."""
+    q = grid.points()
+
+    def psi_at(tt):
+        state = spec
+        if spec.kind == "coherent":
+            q_c, p_c, _ = coherent_trajectory(params, spec.q_c, spec.p_c, t, tt)
+            state = StateSpec.coherent(q_c, p_c, spec.squeeze)
+        return _sample(params, state, tt, q, False)
+
+    def d4(h):
+        return (
+            psi_at(t - 2.0 * h)
+            - 8.0 * psi_at(t - h)
+            + 8.0 * psi_at(t + h)
+            - psi_at(t + 2.0 * h)
+        ) / (12.0 * h)
+
+    psi = psi_at(t)
+    hpsi = _apply_hamiltonian(params, psi, grid, t)
+    psi_norm, hpsi_norm = np.linalg.norm(psi), np.linalg.norm(hpsi)
+    delta = float(1e-4 * params.hbar * psi_norm / hpsi_norm)
+    dpsi_dt = (16.0 * d4(delta / 2.0) - d4(delta)) / 15.0
+    return float(np.linalg.norm(1j * params.hbar * dpsi_dt - hpsi) / hpsi_norm)
+
+
+@pytest.mark.parametrize(
+    "spec, t",
+    [
+        (StateSpec.number(2, SqueezeParams(0.5, 1.0)), 0.8),
+        (StateSpec.coherent(-2.0, 1.5, SqueezeParams(0.3, 4.0)), 1.9),
+    ],
+    ids=["number", "coherent"],
+)
+def test_residual_samples_seven_stencil_times_once(monkeypatch, spec, t):
+    grid = _check_grid(P_STAR, spec, t)
+    reference = _nine_sample_residual(P_STAR, spec, t, grid)
+    calls = _counted(monkeypatch, "_sample")
+    assert schrodinger_residual(P_STAR, spec, t, grid).hex() == reference.hex()
+    assert len(calls) == 7
 
 
 # gamma/(2 omega0) = 0.965, a drawn point where the coherent (-2, 1.5) entry
@@ -947,6 +1080,21 @@ def test_validate_skips_sim_wave_without_damping():
     assert entry.reason == "special squeeze is undefined for gamma = 0"
     assert report.all_passed  # skips are not failures
     assert report.summary["skipped"] == 1
+
+
+@pytest.mark.parametrize("units", [{"m0": 1e200}, {"hbar": 1e50}], ids=["m0", "hbar"])
+def test_sim_wave_and_time_average_measures_are_unit_free(units):
+    # sim_wave reads max|psi - psi_sho| / max|psi_sho| and the time average
+    # (average - bound)/bound, so dimensionless tolerances judge them in any
+    # units; in absolute terms they read 2.6e34 to 7e34 at m0 = 1e200 and
+    # -1.04e34 at hbar = 1e50.
+    params = make_params(**{"m0": 1.0, "gamma": 1.2, "omega0": 1.0, "hbar": 1.0, **units})
+    schedule = tuple(
+        c for c in default_schedule(params)
+        if c.name in ("sim_wave", "time_average_lower_bound")
+    )
+    report = validate(params, schedule=schedule)
+    assert report.summary == {"total": 7, "passed": 7, "failed": 0, "skipped": 0}
 
 
 def test_validate_raising_check_fails_every_entry_of_its_kind():
