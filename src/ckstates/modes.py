@@ -115,12 +115,7 @@ class PhysicalParams:
             raise NotUnderdampedError(
                 f"not underdamped: gamma={self.gamma} >= 2*omega0={2.0 * self.omega0}"
             )
-        # Factored, omega^2 keeps its digits near critical damping, where
-        # omega0^2 - gamma^2/4 cancels them: omega0 - gamma/2 is exact there.
-        half = 0.5 * self.gamma
-        omega2 = (self.omega0 - half) * (self.omega0 + half)
-        if omega2 == math.inf:
-            raise OverflowError(f"omega0^2 - gamma^2/4 overflows at omega0={self.omega0!r}")
+        omega2 = self.omega0**2 - self.gamma**2 / 4.0
         # Below the smallest normal double omega^2 has lost precision; see _envelope.
         if omega2 < sys.float_info.min:
             raise ValueError(

@@ -234,11 +234,8 @@ def coherent_trajectory(
         c, s = np.cos(params.omega * dt), np.sin(params.omega * dt)
         k = params.gamma / (2.0 * params.omega)
         e = _envelope(0.5 * params.gamma * dt)
-        # Each anchor coordinate multiplies its whole map coefficient once,
-        # so a path below the normal range rounds once: m q_c first would
-        # lose digits to underflow at a small m, and e would magnify them.
-        q = q_c * ((c + k * s) / e) + p_c * (s / (m * params.omega) / e)
-        p = p_c * ((c - k * s) * e) - q_c * (m * e * (params.omega0**2 / params.omega) * s)
+        q = (q_c * (c + k * s) + p_c / (m * params.omega) * s) / e
+        p = (p_c * (c - k * s) - m * q_c * (params.omega0**2 / params.omega) * s) * e
         scale = np.sqrt(m) * e
         energy = 0.5 * np.square(p / scale) + 0.5 * np.square(params.omega0 * scale * q)
     if t.ndim == 0:

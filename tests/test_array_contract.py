@@ -44,8 +44,8 @@ def reference(params, n, squeeze, anchor, t):
     c, sn = math.cos(params.omega * (t - t0)), math.sin(params.omega * (t - t0))
     k = params.gamma / (2.0 * params.omega)
     e = math.exp(0.5 * params.gamma * (t - t0))
-    q_c = qc * ((c + k * sn) / e) + pc * (sn / (m * params.omega) / e)
-    p_c = pc * ((c - k * sn) * e) - qc * (m * e * (params.omega0**2 / params.omega) * sn)
+    q_c = (qc * (c + k * sn) + pc / (m * params.omega) * sn) / e
+    p_c = (pc * (c - k * sn) - m * qc * (params.omega0**2 / params.omega) * sn) * e
     size = math.sqrt(m) * e
     # x * x, not x ** 2: libm pow may miss the rounded square by an ulp.
     a, b = p_c / size, params.omega0 * size * q_c
