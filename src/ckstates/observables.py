@@ -13,13 +13,14 @@ which give the uncertainty product hbar m0 |v| |w| (2n + 1), free of s:
                  [cosh 2r - sinh 2r cos(2 omega t + phi + theta_gamma)])
             (2n + 1),
 
-where the damping angle theta_gamma satisfies sec(theta_gamma/2) =
-omega0/omega.  At r = 0 the bracket product is identically 1 and the
-product is the constant (hbar/2) sigma0 (2n + 1) with
-sigma0 = (1 - gamma^2/(4 omega0^2))^{-1/2}: the pseudo-stationary ground
-state saturates that value at all times.  For r > 0 with damping the
-product oscillates and at isolated phases drops below the sigma0 value.
-With k = sin(theta_gamma/2) = gamma/(2 omega0) its minimum over a period is
+where the damping angle theta_gamma has sin(theta_gamma/2) = k =
+gamma/(2 omega0) and sec(theta_gamma/2) = omega0/omega, both read from one
+exactly formed half-angle pair (:func:`_half_angle`).  At r = 0 the
+bracket product is identically 1 and the product is the constant
+(hbar/2) sigma0 (2n + 1) with sigma0 = (1 - k^2)^{-1/2}: the
+pseudo-stationary ground state saturates that value at all times.  For
+r > 0 with damping the product oscillates and at isolated phases drops
+below the sigma0 value.  Its minimum over a period is
 
     F = (hbar/2)(2n + 1)                                if tanh 2r >= k,
     F = (hbar/2) sigma0 (cosh 2r - k sinh 2r)(2n + 1)   otherwise,
@@ -97,31 +98,29 @@ class TimeAverage:
     closed_form: float | None
 
 
-def theta_gamma(params: PhysicalParams) -> float:
-    """Damping angle theta_gamma in [0, pi), sec(theta_gamma/2) = omega0/omega.
+def _half_angle(params: PhysicalParams) -> tuple[float, float]:
+    """sin and cos of theta_gamma/2: k = gamma/(2 omega0) and sqrt((1 - k)(1 + k)).
 
-    The atan2 of sin(theta) = (gamma/omega)/(1 + gamma^2/(4 omega^2)) >= 0 and
-    cos(theta) = (1 - gamma^2/(4 omega^2))/(1 + gamma^2/(4 omega^2)).
+    1 - k is formed as (2 omega0 - gamma)/(2 omega0), whose difference is exact for
+    gamma >= omega0 (Sterbenz), so both hold to a few ulp up to critical damping.
     """
-    ratio = params.gamma**2 / (4.0 * params.omega**2)
-    denom = 1.0 + ratio
-    sin_t = (params.gamma / params.omega) / denom
-    cos_t = (1.0 - ratio) / denom
-    return math.atan2(sin_t, cos_t)
+    two_omega0 = 2.0 * params.omega0
+    below = (two_omega0 - params.gamma) / two_omega0
+    above = (two_omega0 + params.gamma) / two_omega0
+    return params.gamma / two_omega0, math.sqrt(below * above)
+
+
+def theta_gamma(params: PhysicalParams) -> float:
+    """Damping angle theta_gamma in [0, pi): twice the atan2 of :func:`_half_angle`."""
+    return 2.0 * math.atan2(*_half_angle(params))
 
 
 def sigma0(params: PhysicalParams) -> float:
     """Uncertainty scale sigma0 = sec(theta_gamma/2) = (1 - gamma^2/4 omega0^2)^{-1/2} >= 1.
 
-    Both closed forms are evaluated and must agree to 1e-12 relative.
+    One over the cosine of :func:`_half_angle`.
     """
-    via_angle = 1.0 / math.cos(theta_gamma(params) / 2.0)
-    direct = 1.0 / math.sqrt(1.0 - params.gamma**2 / (4.0 * params.omega0**2))
-    if abs(via_angle - direct) > 1e-12 * direct:
-        raise ArithmeticError(
-            f"sigma0 closed forms disagree: {via_angle!r} vs {direct!r}"
-        )
-    return direct
+    return 1.0 / _half_angle(params)[1]
 
 
 def _product(params: PhysicalParams, n: int, mode):
@@ -191,15 +190,15 @@ def hamiltonian_expectation(
           [cosh 2r + sinh 2r sin(theta_gamma/2)
                      sin(2 omega t + phi + theta_gamma/2)] (2n + 1).
 
-    ``t`` is a float or an ndarray.  Constant in t at r = 0 with value
-    (hbar omega0^2)/(2 omega) (2n + 1).
+    ``t`` is a float or an ndarray.  sec^2 and sin of theta_gamma/2 are read
+    from :func:`_half_angle`, the phase from their atan2.  Constant in t at
+    r = 0 with value (hbar omega0^2)/(2 omega) (2n + 1).
     """
     if not (0 <= n <= MAX_N):
         raise ValueError(f"number index must be in [0, {MAX_N}], got {n}")
     t = _as_time(t)
-    half_angle = theta_gamma(params) / 2.0
-    sec2 = 1.0 / math.cos(half_angle) ** 2
-    modulation = math.cosh(2.0 * squeeze.r) + math.sinh(2.0 * squeeze.r) * math.sin(
-        half_angle
-    ) * _sin(2.0 * params.omega * t + squeeze.phi + half_angle)
+    sin_half, cos_half = _half_angle(params)
+    sec2 = 1.0 / cos_half**2
+    phase = 2.0 * params.omega * t + squeeze.phi + math.atan2(sin_half, cos_half)
+    modulation = math.cosh(2.0 * squeeze.r) + math.sinh(2.0 * squeeze.r) * sin_half * _sin(phase)
     return 0.5 * params.hbar * params.omega * sec2 * modulation * (2 * n + 1)

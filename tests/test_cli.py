@@ -6,6 +6,7 @@ import json
 import math
 import os
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -60,6 +61,25 @@ def test_uncertainty_number_state_scaling(capsys):
     assert rc == 0
     _, rows = csv_rows(out)
     assert rows[0][3] == pytest.approx(5.0 * 0.625, rel=1e-12)
+
+
+@pytest.mark.parametrize("omega0, gamma", [("1", "1.9999999999"), ("1.3", "2.5999999999")])
+def test_uncertainty_near_critical_damping_prints_the_exact_bound(omega0, gamma, capsys):
+    rc, out, err = run_cli(
+        ["uncertainty", "--omega0", omega0, "--gamma", gamma, "--nt", "2", "--t1", "1"], capsys
+    )
+    assert rc == 0 and err == ""
+    _, rows = csv_rows(out)
+    assert len(rows) == 2 and all(math.isfinite(v) for row in rows for v in row)
+    with mpmath.workdps(50):
+        k = mpmath.mpf(float(gamma)) / (2 * mpmath.mpf(float(omega0)))
+        exact = float(0.5 / mpmath.sqrt(1 - k**2))
+    for row in rows:
+        assert abs(row[4] - exact) <= 4 * math.ulp(exact)  # bound
+    # The product and ratio columns are not checked: dq and dp still carry
+    # the cancellation in omega = sqrt(omega0^2 - gamma^2/4), and at r = 0
+    # the ratio reads 0.99999999998750 at gamma = 1.9999999999, where the
+    # exact value is 1.
 
 
 def test_uncertainty_respects_window_flags(capsys):

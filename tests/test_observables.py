@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -55,6 +56,32 @@ def test_sec_half_angle_is_frequency_ratio(gamma):
 def test_sigma0_reference_value():
     assert sigma0(P_STAR) == pytest.approx(1.25, abs=1e-15)
     assert sigma0(make_params(1.0, 0.0, 1.0, 1.0)) == pytest.approx(1.0, abs=1e-15)
+
+
+# (omega0, least 1 - k): omega0 = 1, omega0 off powers of two, and the two
+# ends of the scale, where make_params refuses omega^2 below the smallest
+# normal double, so the 1e-150 sweep stops at 1 - k = 1e-7.
+NEAR_CRITICAL = ((1.0, 1e-16), (1.3, 1e-16), (0.7, 1e-16), (1e-150, 1e-7), (1e150, 1e-16))
+
+
+@pytest.mark.parametrize("omega0, least", NEAR_CRITICAL)
+def test_sigma0_and_theta_gamma_near_critical_damping_match_mpmath(omega0, least):
+    # References from the definitions sigma0 = (1 - gamma^2/4 omega0^2)^{-1/2}
+    # and theta_gamma = 2 asin(gamma/2 omega0), at 50 digits on the double
+    # inputs; both functions must hold 4 ulp up to gamma = 2 omega0 (1 - 1e-16).
+    gammas = {2.0 * omega0 * (1.0 - d) for d in np.logspace(math.log10(least), math.log10(0.3), 120)}
+    checked = 0
+    with mpmath.workdps(50):
+        for gamma in sorted(g for g in gammas if g < 2.0 * omega0):
+            params = make_params(1.0, gamma, omega0, 1.0)
+            k = mpmath.mpf(gamma) / (2 * mpmath.mpf(omega0))
+            for got, exact in (
+                (sigma0(params), 1 / mpmath.sqrt(1 - k**2)),
+                (theta_gamma(params), 2 * mpmath.asin(k)),
+            ):
+                assert abs(got - exact) <= 4 * math.ulp(float(exact)), (gamma, got, exact)
+            checked += 1
+    assert checked >= 100
 
 
 def test_zero_squeeze_product_is_constant():
