@@ -90,8 +90,9 @@ _OPTIONS = {
 _FLAG_EXTRAS = {"format": {"choices": ("csv", "json")}, "out": {"metavar": "PATH"}}
 
 
-def _read_key_values(path: str) -> dict:
-    """Parse a ``key = value`` text file; '#' starts a comment."""
+def _read_key_values(path: str, converters: dict, what: str) -> dict:
+    """Parse a ``key = value`` text file, '#' starting a comment, and convert
+    each value with ``converters[key]``; ``what`` names a key in messages."""
     table = {}
     try:
         with open(path, encoding="utf-8") as handle:
@@ -105,19 +106,22 @@ def _read_key_values(path: str) -> dict:
                 table[key.strip().replace("-", "_")] = value.strip()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    return table
+    values = {}
+    for key, text in table.items():
+        if key not in converters:
+            raise UsageError(f"unknown {what} {key!r} in {path}")
+        try:
+            values[key] = converters[key](text)
+        except ValueError as exc:
+            raise UsageError(f"{what} {key!r}: {exc}") from exc
+    return values
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     values = {}
     if args.config:
-        for key, text in _read_key_values(args.config).items():
-            if key not in _OPTIONS:
-                raise UsageError(f"unknown config key {key!r} in {args.config}")
-            try:
-                values[key] = _OPTIONS[key][0](text)
-            except ValueError as exc:
-                raise UsageError(f"config key {key!r}: {exc}") from exc
+        converters = {key: conv for key, (conv, _) in _OPTIONS.items()}
+        values = _read_key_values(args.config, converters, "config key")
     for key in _OPTIONS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
@@ -130,25 +134,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"nt must be at least 2, got {values['nt']}")
     return RunConfig(
         **values,
-        tol_overrides=args.tol_overrides,
+        tol_overrides=getattr(args, "tol_overrides", None),
         flip_b_sign=getattr(args, "flip_b_sign", False),
         given=frozenset(values),
     )
-
-
-def _read_tolerances(path: str | None) -> ToleranceConfig:
-    if path is None:
-        return ToleranceConfig()
-    known = {f.name for f in fields(ToleranceConfig)}
-    overrides = {}
-    for key, text in _read_key_values(path).items():
-        if key not in known:
-            raise UsageError(f"unknown tolerance {key!r} in {path}")
-        try:
-            overrides[key] = float(text)
-        except ValueError as exc:
-            raise UsageError(f"tolerance {key!r}: {exc}") from exc
-    return replace(ToleranceConfig(), **overrides)
 
 
 @contextmanager
@@ -229,14 +218,13 @@ def cmd_wavefunction(cfg: RunConfig) -> int:
     params, squeeze = _params_squeeze(cfg)
     if cfg.qc is not None or cfg.pc is not None:
         spec = StateSpec.coherent(cfg.qc or 0.0, cfg.pc or 0.0, squeeze)
+        evaluate = eval_coherent_state
     else:
         spec = StateSpec.number(cfg.n, squeeze)
+        evaluate = eval_number_state
     grid = make_grid(params, spec, cfg.t0, n_points=cfg.grid_points)
     q = grid.points()
-    if spec.kind == "coherent":
-        psi = eval_coherent_state(params, spec, cfg.t0, q)
-    else:
-        psi = eval_number_state(params, spec, cfg.t0, q)
+    psi = evaluate(params, spec, cfg.t0, q)
     _write_table(
         ("q", "re_psi", "im_psi", "density"),
         ("length", "1/sqrt(length)", "1/sqrt(length)", "1/length"),
@@ -293,19 +281,24 @@ def cmd_hamiltonian(cfg: RunConfig) -> int:
 def cmd_validate(cfg: RunConfig) -> int:
     """Run the validation suite; exit 0 iff every non-skipped check passes."""
     params, _ = _params_squeeze(cfg)
-    tolerances = _read_tolerances(cfg.tol_overrides)
+    overrides = {}
+    if cfg.tol_overrides is not None:
+        converters = dict.fromkeys((f.name for f in fields(ToleranceConfig)), float)
+        overrides = _read_key_values(cfg.tol_overrides, converters, "tolerance")
+    tolerances = replace(ToleranceConfig(), **overrides)
     with _output(cfg.out) as write:
         report = validate(params, tolerances=tolerances, flip_b_sign=cfg.flip_b_sign)
         write((report.to_json() if cfg.format == "json" else report.to_table()) + "\n")
     return 0 if report.all_passed else 1
 
 
+# Each subcommand: (function, help text).
 _COMMANDS = {
-    "uncertainty": cmd_uncertainty,
-    "wavefunction": cmd_wavefunction,
-    "trajectory": cmd_trajectory,
-    "hamiltonian": cmd_hamiltonian,
-    "validate": cmd_validate,
+    "uncertainty": (cmd_uncertainty, "uncertainty product over time"),
+    "wavefunction": (cmd_wavefunction, "wave function samples at t0"),
+    "trajectory": (cmd_trajectory, "coherent phase-space trajectory"),
+    "hamiltonian": (cmd_hamiltonian, "energy expectation over time"),
+    "validate": (cmd_validate, "run the validation suite"),
 }
 
 
@@ -335,12 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--config", metavar="PATH", help="key = value file layered under flags"
     )
-    common.add_argument(
-        "--tol-overrides",
-        dest="tol_overrides",
-        metavar="PATH",
-        help="key = value file of validation tolerance overrides",
-    )
     parser = _Parser(
         prog="ckstates",
         description=(
@@ -349,14 +336,14 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("uncertainty", "uncertainty product over time"),
-        ("wavefunction", "wave function samples at t0"),
-        ("trajectory", "coherent phase-space trajectory"),
-        ("hamiltonian", "energy expectation over time"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=help_text)
-    val = sub.add_parser("validate", parents=[common], help="run the validation suite")
+    val = sub.choices["validate"]
+    val.add_argument(
+        "--tol-overrides",
+        metavar="PATH",
+        help="key = value file of validation tolerance overrides",
+    )
     val.add_argument("--flip-b-sign", action="store_true", help=argparse.SUPPRESS)
     return parser
 
@@ -371,7 +358,7 @@ def main(argv=None) -> int:
         cfg = _resolve_config(args)
         # A float leaving the double range raises instead of printing inf or nan.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return _COMMANDS[args.command](cfg)
+            return _COMMANDS[args.command][0](cfg)
     except ValueError as exc:
         # UsageError and NotUnderdampedError are ValueErrors too.
         print(f"error: {exc}", file=sys.stderr)

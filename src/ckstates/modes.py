@@ -107,12 +107,9 @@ class PhysicalParams:
         for name in ("m0", "gamma", "omega0", "hbar"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.m0 <= 0.0:
-            raise ValueError(f"m0 must be positive, got {self.m0}")
-        if self.omega0 <= 0.0:
-            raise ValueError(f"omega0 must be positive, got {self.omega0}")
-        if self.hbar <= 0.0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        for name in ("m0", "omega0", "hbar"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.gamma < 0.0:
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
         if self.gamma >= 2.0 * self.omega0:

@@ -44,7 +44,7 @@ from .modes import (
     _sin,
     mode_u_rphi,
 )
-from .states import MAX_N
+from .states import _check_index
 
 __all__ = [
     "UncertaintyRecord",
@@ -123,11 +123,6 @@ def sigma0(params: PhysicalParams) -> float:
     return 1.0 / _half_angle(params)[1]
 
 
-def _product(params: PhysicalParams, n: int, mode):
-    """dq dp = hbar m0 |v| |w| (2n + 1) of the n-th state on ``mode``."""
-    return params.hbar * (2 * n + 1) * params.m0 * _modulus(mode.v) * _modulus(mode.w)
-
-
 def uncertainty_product(
     params: PhysicalParams, n: int, squeeze: SqueezeParams, t: float | np.ndarray
 ) -> UncertaintyRecord:
@@ -143,15 +138,16 @@ def uncertainty_product(
         If s overflows (OverflowError) or falls below the smallest normal
         double.
     """
-    if not (0 <= n <= MAX_N):
-        raise ValueError(f"number index must be in [0, {MAX_N}], got {n}")
+    _check_index(n)
     mode = mode_u_rphi(params, squeeze, t)
     s = _envelope(0.5 * params.gamma * mode.t)
     scale = math.sqrt(params.hbar * (2 * n + 1))
-    dq = scale * _modulus(mode.v) / s
-    dp = scale * params.m0 * _modulus(mode.w) * s
+    v = _modulus(mode.v)
+    dq = scale * v / s
+    w = _modulus(mode.w)
+    dp = scale * params.m0 * w * s
     bound = 0.5 * params.hbar * sigma0(params) * (2 * n + 1)
-    product = _product(params, n, mode)
+    product = params.hbar * (2 * n + 1) * params.m0 * v * w
     return UncertaintyRecord(dq=dq, dp=dp, product=product, bound=bound, t=mode.t)
 
 
@@ -165,11 +161,11 @@ def uncertainty_time_avg(
     rule with ``TIME_AVG_SAMPLES`` samples resolves the integrand far below
     the comparison tolerances.
     """
-    if not (0 <= n <= MAX_N):
-        raise ValueError(f"number index must be in [0, {MAX_N}], got {n}")
+    _check_index(n)
     period = math.pi / params.omega
     ts = np.linspace(0.0, period, TIME_AVG_SAMPLES)
-    values = _product(params, n, mode_u_rphi(params, squeeze, ts))
+    mode = mode_u_rphi(params, squeeze, ts)
+    values = params.hbar * (2 * n + 1) * params.m0 * _modulus(mode.v) * _modulus(mode.w)
     numeric = float(np.trapezoid(values, ts) / period)
     closed_form = None
     if n == 0:
@@ -194,8 +190,7 @@ def hamiltonian_expectation(
     from :func:`_half_angle`, the phase from their atan2.  Constant in t at
     r = 0 with value (hbar omega0^2)/(2 omega) (2n + 1).
     """
-    if not (0 <= n <= MAX_N):
-        raise ValueError(f"number index must be in [0, {MAX_N}], got {n}")
+    _check_index(n)
     t = _as_time(t)
     sin_half, cos_half = _half_angle(params)
     sec2 = 1.0 / cos_half**2

@@ -646,10 +646,9 @@ def cn_cross_check(
     ref = _in_frame(params, spec, t1, Q, flip_b_sign)
     overlap = complex(simpson(ref.conjugate() * evolved, dx=grid.dq))
     deficit = abs(1.0 - abs(overlap) ** 2)
-    drift = abs(
-        float(simpson(np.abs(evolved) ** 2, dx=grid.dq))
-        - float(simpson(np.abs(phi0) ** 2, dx=grid.dq))
-    )
+    # Both norms in one Simpson pass, with the bits of two separate sums.
+    norm1, norm0 = map(float, simpson(np.abs(np.stack((evolved, phi0))) ** 2, dx=grid.dq))
+    drift = abs(norm1 - norm0)
     return deficit, drift
 
 
@@ -921,8 +920,13 @@ def _eigenvalue_path(params, squeeze, alpha, t):
     q_c = sqrt(hbar) (alpha u + alpha* u*) = 2 sqrt(hbar) Re(alpha v) / s and
     p_c = sqrt(hbar) m0 e^{gamma t} (alpha u' + alpha* u'*) = 2 sqrt(hbar) m0 Re(alpha w) s.
     The eigenvalue alpha is a constant of motion, so one alpha traces the
-    full damped trajectory: the oracle's reference for the coherent checks,
-    which name states by alpha, apart from :func:`coherent_trajectory`.
+    full damped trajectory.  The ``coherent_moments`` check names its states
+    by alpha and uses this path only to pick the point: it builds the state
+    with :func:`eval_coherent_state` at (q_c, p_c) and compares the state's
+    quadrature means with that same point.  The path itself is checked by
+    the coherent ``residual`` entries, whose stencil follows
+    :func:`coherent_trajectory`, and by ``tests/test_coherent_path.py``,
+    which compares :func:`coherent_trajectory` with this path.
     ``t`` is a float or an ndarray; so are q_c and p_c.
     """
     mode = mode_u_rphi(params, squeeze, t)
@@ -975,10 +979,10 @@ def _below(measured, tolerance, *args):
 
 def _time_avg_passes(measured, tolerance, n, r, phi):
     # At r = 0 the product is the constant floor itself; squeezing can
-    # only raise its period average.
+    # only raise its period average.  An average that overflowed shows nothing.
     if r == 0.0:
         return abs(measured) <= tolerance
-    return measured >= -tolerance
+    return math.isfinite(measured) and measured >= -tolerance
 
 
 @dataclass(frozen=True)
@@ -1017,11 +1021,9 @@ _KINDS = {
         {"time_average_lower_bound": "time_avg_slack"},
         passes=_time_avg_passes,
     ),
-    # Recorded, never asserted.
+    # Recorded, not asserted: every gap below the infinite tolerance passes.
     "time_average_closed_form_gap": _Kind(
-        _time_avg_gap,
-        {"time_average_closed_form_gap": math.inf},
-        passes=lambda *args: True,
+        _time_avg_gap, {"time_average_closed_form_gap": math.inf}
     ),
 }
 

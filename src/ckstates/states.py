@@ -84,8 +84,8 @@ class StateSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("number", "coherent"):
             raise ValueError(f"unknown state kind {self.kind!r}")
-        if self.kind == "number" and not (0 <= self.n <= MAX_N):
-            raise ValueError(f"number index must be in [0, {MAX_N}], got {self.n}")
+        if self.kind == "number":
+            _check_index(self.n)
         _check_anchor(q_c=self.q_c, p_c=self.p_c)
 
     @classmethod
@@ -95,6 +95,11 @@ class StateSpec:
     @classmethod
     def coherent(cls, q_c: float, p_c: float, squeeze: SqueezeParams) -> "StateSpec":
         return cls(kind="coherent", squeeze=squeeze, q_c=q_c, p_c=p_c)
+
+
+def _check_index(n: int) -> None:
+    if not (0 <= n <= MAX_N):
+        raise ValueError(f"number index must be in [0, {MAX_N}], got {n}")
 
 
 def _check_anchor(**values: float) -> None:

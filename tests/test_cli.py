@@ -292,6 +292,36 @@ def test_config_rejects_malformed_line(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "command, flag, key, what",
+    [
+        ("uncertainty", "--config", "gamma", "config key"),
+        ("validate", "--tol-overrides", "residual", "tolerance"),
+    ],
+)
+def test_key_value_file_rejects_a_value_that_does_not_convert(
+    command, flag, key, what, tmp_path, capsys
+):
+    path = tmp_path / "values.cfg"
+    path.write_text(f"{key} = abc\n", encoding="utf-8")
+    rc, out, err = run_cli([command, flag, str(path)], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {what} '{key}': could not convert string to float: 'abc'\n"
+
+
+@pytest.mark.parametrize("command", ["uncertainty", "wavefunction", "trajectory", "hamiltonian"])
+def test_tolerance_overrides_belong_to_validate_alone(command, tmp_path, capsys):
+    overrides = tmp_path / "tol.cfg"
+    overrides.write_text("residual = 1e-4\n", encoding="utf-8")
+    rc, out, err = run_cli([command, "--nt", "2", "--tol-overrides", str(overrides)], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "unrecognized arguments: --tol-overrides" in err
+    assert "--tol-overrides" not in run_cli([command, "--help"], capsys)[1]
+    assert "--tol-overrides" in run_cli(["validate", "--help"], capsys)[1]
+
+
 def test_json_format(capsys):
     rc, out, _ = run_cli(["uncertainty", "--nt", "2", "--format", "json"], capsys)
     assert rc == 0

@@ -911,7 +911,7 @@ def _per_step_cn(params, psi0, grid, t0, t1, n_steps):
         yield np.append(psi, psi[:1]), t0 + (step + 1) * dt
 
 
-def test_cn_equals_per_step_solve_banded_bit_for_bit():
+def test_split_step_equals_per_factor_loop_bit_for_bit():
     # Precomputed phases and in-place transforms must not move one bit
     # against the per-factor loop, whether the steps end inside an
     # edge-mass block, on its end or just past it.
@@ -1095,6 +1095,22 @@ def test_sim_wave_and_time_average_measures_are_unit_free(units):
     )
     report = validate(params, schedule=schedule)
     assert report.summary == {"total": 7, "passed": 7, "failed": 0, "skipped": 0}
+
+
+@pytest.mark.parametrize(
+    "check",
+    [Check("time_average_lower_bound", (0, r, 1.0)) for r in (0.25, 0.5, 1.0)]
+    + [Check("time_average_closed_form_gap", (r, 1.0)) for r in (0.25, 0.5, 1.0)],
+    ids=lambda check: f"{check.name}-{check.args[-2]}",
+)
+def test_time_average_that_overflowed_fails(check):
+    # At hbar = 1e308 the trapezoid's pairwise sums overflow at r = 0.25 and
+    # 0.5, although every sample is finite, and the samples themselves
+    # overflow at r = 1: a measured inf or nan judges nothing.
+    report = validate(make_params(1.0, 1.2, 1.0, 1e308), schedule=(check,))
+    (entry,) = report.entries
+    assert not math.isfinite(entry.measured)
+    assert not entry.passed and not entry.skipped
 
 
 def test_validate_raising_check_fails_every_entry_of_its_kind():
