@@ -143,7 +143,12 @@ def gauss_coeffs(params: PhysicalParams, squeeze: SqueezeParams, t: float) -> Ga
     changes sign with a 2 pi jump of Theta.
     """
     mode = mode_u_rphi(params, squeeze, t)
-    a_coeff = _envelope(0.5 * params.gamma * t) / (math.sqrt(2.0 * params.hbar) * abs(mode.v))
+    # sqrt(2 hbar) without the product 2 hbar, which overflows above
+    # 8.99e307.  Halving is exact for hbar >= 1 and doubling below it, so
+    # both forms have the bits of the correctly rounded sqrt(2 hbar).
+    h = params.hbar
+    root_2hbar = 2.0 * math.sqrt(0.5 * h) if h >= 1.0 else math.sqrt(2.0 * h)
+    a_coeff = _envelope(0.5 * params.gamma * t) / (root_2hbar * abs(mode.v))
     # c = -i m0 v w*, with Re c = m0 Im(v w*) = 1/2, whose terms are O(e^{2r}).
     width = complex(0.5, -params.m0 * (mode.v * mode.w.conjugate()).real)
     bracket = math.cosh(squeeze.r) + math.sinh(squeeze.r) * cmath.exp(

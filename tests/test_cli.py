@@ -170,6 +170,22 @@ def test_coherent_wavefunction_narrower_than_its_offset(physics, qc, pc, capsys)
     assert rows[peak][3] > 0.0
 
 
+@pytest.mark.parametrize(
+    "state", [[], ["--qc", "0.7", "--pc", "-1.3"]], ids=["number", "coherent"]
+)
+def test_wavefunction_at_the_largest_hbar(state, capsys):
+    # 2 hbar overflows at hbar = 1e308, and A = 1/(sqrt(2 hbar) |v|) read 0
+    # and exited 2 with a ZeroDivisionError.  The peak density of the
+    # ground state and of the coherent state is sqrt(m0 omega/(pi hbar)).
+    rc, out, err = run_cli(["wavefunction", "--hbar", "1e308", *state], capsys)
+    assert rc == 0 and err == ""
+    _, rows = csv_rows(out)
+    assert len(rows) == 2049
+    assert all(math.isfinite(x) for row in rows for x in row)
+    peak = max(row[3] for row in rows)
+    assert peak == pytest.approx(math.sqrt(0.8 / math.pi) / math.sqrt(1e308), rel=1e-12)
+
+
 # ---------------------------------------------------------------- trajectory
 
 

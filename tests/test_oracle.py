@@ -630,14 +630,29 @@ def _floor_steps(params):
     return math.ceil(oracle._step_floor(_frame_params(params), 0.0, t1))
 
 
+def _orthogonal_deficit(ref, evolved, dq):
+    """1 - |<ref|evolved>|^2/(||ref||^2 ||evolved||^2), formed as the
+    squared norm of the part of ``evolved`` orthogonal to ``ref``, so that
+    no 1 - x cancels: its rounding floor is far below the 1e-13 that the
+    norm drift sets for |1 - |<ref|evolved>|^2|."""
+    ref_norm2, norm2 = map(float, simpson(np.abs(np.stack((ref, evolved))) ** 2, dx=dq))
+    along = complex(simpson(ref.conjugate() * evolved, dx=dq)) / ref_norm2
+    return float(simpson(np.abs(evolved - along * ref) ** 2, dx=dq)) / norm2
+
+
 def test_cn_fourth_order_in_time():
     # The fidelity deficit is the squared orthogonal error, so halving dt
     # divides it by about 2^8 = 256; a second-order step gives 16.  The
-    # 1.37-period window takes 100 and 200 steps per period.  The squeezed
-    # ground state reads near the deficit's rounding floor (~1e-13) there,
-    # so the state is the n = 8 number state at r = 1.5, whose time error
-    # is larger, on twice the cross-check's box (observed 3.2e-10 ->
-    # 1.1e-12, 300x).
+    # 1.37-period window takes 100 and 200 steps per period.  There the
+    # n = 8 number state at r = 1.5, on twice the cross-check's box, reads
+    # |1 - |overlap|^2| = 5.5e-14 and 1.2e-13: the norm drift's rounding,
+    # which grows with the step count.  Its orthogonal part reads the time
+    # error, 8.8e-15 -> 3.4e-17 (256x), and 5.3e-22 at 1096 steps, so its
+    # own floor is lower still.  No affordable input lifts the scheme's
+    # time error on the oscillator 100x above the 1e-13 floor: the error
+    # grows as the square of the window, the floor with the window itself,
+    # and a squeezed or displaced packet's error at best as the square of
+    # the grid it needs.
     squeeze = SqueezeParams(1.5, 1.0)
     spec = StateSpec.number(8, squeeze)
     t1 = CN_PERIODS * math.pi / P_STAR.omega
@@ -649,8 +664,7 @@ def test_cn_fourth_order_in_time():
     deficits = []
     for n_steps in (137, 274):
         evolved = crank_nicolson_evolve(_frame_params(P_STAR), phi0, grid, 0.0, t1, n_steps)
-        overlap = complex(simpson(ref.conjugate() * evolved, dx=grid.dq))
-        deficits.append(abs(1.0 - abs(overlap) ** 2))
+        deficits.append(_orthogonal_deficit(ref, evolved, grid.dq))
     assert deficits[0] / deficits[1] > 128.0
     assert deficits[1] < 1e-7
 
@@ -660,19 +674,23 @@ def test_cn_matches_the_exact_exponential_of_its_generator():
     # periodic samples, H = F^-1 diag(k^2/2) F + diag(q^2/2), whose kinetic
     # and potential parts the split steps exponentiate exactly, so no
     # spatial error enters: the splitting error alone falls as dt^4
-    # (observed 16.0x per halving, 3.0e-7 at 50 steps), and every factor
-    # is unitary, so the norm holds at every step count.  H is Hermitian,
-    # so its exponential is taken by eigendecomposition.  A moving packet
-    # keeps the time error above the box's own content in the stiff modes.
+    # (observed 16.0x per halving: 6.0e-8, 3.7e-9, 2.3e-10), and every
+    # factor is unitary, so the norm holds at every step count.  H is
+    # Hermitian, so its exponential is taken by eigendecomposition, whose
+    # rounding reads 3e-13 at 3200 steps.  A fast packet (p = 18, an orbit
+    # of amplitude 18 in a box of half-width 28, where k reaches 28.7)
+    # keeps the time error 700x above that; at p = 2 in [-8, 8], where
+    # |H| reaches 5000, the error at 200 steps read 1.35e-11 against
+    # 8e-12 expected.
     from scipy.linalg import eigh
 
     params = make_params(1.0, 0.0, 1.0, 1.0)
-    grid = GridSpec(-8.0, 8.0, 513)
+    grid = GridSpec(-28.0, 28.0, 513)
     q = grid.points()
     k = np.fft.fftfreq(q.size - 1, d=grid.dq / (2.0 * math.pi))
     kinetic = np.fft.ifft(0.5 * k[:, None] ** 2 * np.fft.fft(np.eye(k.size), axis=0), axis=0)
     energies, modes = eigh(kinetic + np.diag(0.5 * q[:-1] ** 2))
-    psi0 = math.pi**-0.25 * np.exp(-0.5 * q * q + 2j * q)
+    psi0 = math.pi**-0.25 * np.exp(-0.5 * q * q + 18j * q)
     t1 = 0.5 * math.pi
     exact = modes @ (np.exp(-1j * t1 * energies) * (modes.conj().T @ psi0[:-1]))
     # Relative errors in the Euclidean norm of the periodic samples, which
@@ -708,7 +726,7 @@ def test_cn_frame_resolves_strong_damping():
     # In q the packet narrows about 650x (gamma/(2 omega0) = 0.9) and
     # 1e6x (0.975) within a period; in the frame it keeps its width, so
     # the deficit stays at the undamped level: the 137 steps over the
-    # 1.37-period window give at most 1.1e-14 at each damping.
+    # 1.37-period window give at most 4.5e-14 at each damping.
     squeeze = SqueezeParams(0.5, 1.0)
     for gamma in (0.0, 1.8, 1.95):
         deficit, drift = cn_cross_check(make_params(1.0, gamma, 1.0, 1.0), squeeze)
@@ -717,9 +735,9 @@ def test_cn_frame_resolves_strong_damping():
 
 
 def test_cn_larger_squeeze_passes_with_more_steps(cn_step_counts):
-    # The grid grows with e^{2r}, and the split scheme's time error slowly:
-    # at r = 1.5 (2049 points) the floor of 100 steps per period reads
-    # 4.4e-12.
+    # The grid grows with e^{2r}, the split scheme's time error far more
+    # slowly: at r = 1.5 (2049 points) the floor of 100 steps per period
+    # reads 3.6e-14.
     squeeze = SqueezeParams(1.5, 1.0)
     deficit, drift = cn_cross_check(P_STAR, squeeze)
     assert cn_step_counts == [_floor_steps(P_STAR)]
@@ -728,10 +746,25 @@ def test_cn_larger_squeeze_passes_with_more_steps(cn_step_counts):
 
 
 def test_cn_strongest_squeeze_passes_on_the_capped_grid():
-    # r = 3 on 32769 points, the cap, reads 1.8e-9 at the floor's 137 steps.
+    # r = 3 on 32769 points, the cap, reads 5.3e-14 at the floor's 137
+    # steps.
     deficit, drift = cn_cross_check(P_STAR, SqueezeParams(3.0, 1.0))
     assert deficit < 1e-8
     assert drift < ToleranceConfig().cn_norm_drift
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.95])
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+def test_cn_deficit_at_the_step_floor_is_rounding(cn_step_counts, r, gamma):
+    # The fourth-order gradient split leaves the deficit at the floor's
+    # 137 or 138 steps at the norm drift's rounding for every squeeze, on
+    # 2049 to 32769 points: observed 2.9e-14 to 7.7e-14.  Yoshida's triple
+    # jump read 4.4e-12 at r = 1.5 and 1.8e-9 at r = 3.
+    params = make_params(1.0, gamma, 1.0, 1.0)
+    deficit, _ = cn_cross_check(params, SqueezeParams(r, 1.0))
+    assert cn_step_counts == [_floor_steps(params)]
+    assert cn_step_counts[0] in (137, 138)
+    assert deficit < 1e-12
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1.95])
@@ -739,7 +772,7 @@ def test_cn_strongest_squeeze_passes_on_the_capped_grid():
 def test_cn_step_count_meets_its_deficit(cn_step_counts, r, gamma):
     # The cross-check takes the propagator's floor, 100 steps per period
     # (137 over the window, 138 where 1.37 periods round up), at every
-    # squeeze, and that meets a 1e-11 deficit: observed at most 5.1e-13,
+    # squeeze, and that meets a 1e-11 deficit: observed at most 5.2e-14,
     # at r = 1.
     params = make_params(1.0, gamma, 1.0, 1.0)
     deficit, _ = cn_cross_check(params, SqueezeParams(r, 1.0))
@@ -759,7 +792,7 @@ def test_cn_step_count_meets_its_deficit(cn_step_counts, r, gamma):
 )
 def test_cn_cross_check_over_the_parameter_domain(m0, omega0, hbar, damping, r, phi):
     # The benchmark's ranges, squeeze up to r = 2 (8193 points): the deficit
-    # grows as e^{4r} or so and reads about 3e-11 at r = 2.
+    # stays at rounding, below 1e-13 (7.7e-14 at r = 2).
     params = make_params(m0, 2.0 * omega0 * damping, omega0, hbar)
     deficit, drift = cn_cross_check(params, SqueezeParams(r, phi))
     assert deficit < 1e-9
@@ -787,9 +820,9 @@ def test_cn_frame_matches_closed_form_mid_period():
 
 def test_cn_undamped_coherent_orbit_closes():
     # One full period at gamma = 0 returns the packet to its starting
-    # point.  The position mean closes to rounding (5e-13); the momentum
-    # mean carries the fourth-order time error (1.2e-8 at 500 steps, 4.6e-7
-    # at 200), so its gate is looser.
+    # point.  The position mean closes to rounding (3.5e-13); the momentum
+    # mean carries the fourth-order time error (4.1e-11 at 500 steps,
+    # 1.6e-9 at 200), so its gate is looser.
     params = make_params(1.0, 0.0, 1.0, 1.0)
     q_c0 = 1.131370849898476
     spec = StateSpec.coherent(q_c0, 0.0, NO_SQUEEZE)
@@ -885,29 +918,27 @@ def test_cn_refuses_damped_params():
 
 
 def _per_step_cn(params, psi0, grid, t0, t1, n_steps):
-    """Reference propagation: each step is Yoshida's triple jump of Strang
-    steps, its seven factors applied one at a time, the potential phases on
-    the n - 1 periodic grid points and the kinetic phases between an FFT and
-    its inverse.  Yields the n samples, the last the image of the first, and
-    the time after each step."""
+    """Reference propagation: each step is Chin's split 4A,
+    e^{-i V dt/6 hbar} e^{-i T dt/2 hbar} e^{-i (2 dt/3 hbar) W}
+    e^{-i T dt/2 hbar} e^{-i V dt/6 hbar} with W = V (1 - (omega0 dt)^2/24),
+    its five factors applied one at a time (the V/6 kicks of neighbouring
+    steps are not merged), the potential phases on the n - 1 periodic grid
+    points and the kinetic phases between an FFT and its inverse.  Yields
+    the n samples, the last the image of the first, and the time after
+    each step."""
     q = grid.points()[:-1]
     dt = (t1 - t0) / n_steps
-    w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-    w0 = 1.0 - 2.0 * w1
     k = np.fft.fftfreq(q.size, d=grid.dq / (2.0 * math.pi))
     potential = (-0.5j * dt * params.m0 * params.omega0**2 / params.hbar) * q * q
     kinetic = (-0.5j * dt * params.hbar / params.m0) * k * k
-    half_kick_1 = np.exp(0.5 * w1 * potential)
-    joint_kick = np.exp(0.5 * (w1 + w0) * potential)
+    gradient = 1.0 - (params.omega0 * dt) ** 2 / 24.0
     psi = np.asarray(psi0, dtype=complex)[:-1]
     for step in range(n_steps):
-        psi = psi * half_kick_1
-        psi = np.fft.ifft(np.fft.fft(psi) * np.exp(w1 * kinetic))
-        psi = psi * joint_kick
-        psi = np.fft.ifft(np.fft.fft(psi) * np.exp(w0 * kinetic))
-        psi = psi * joint_kick
-        psi = np.fft.ifft(np.fft.fft(psi) * np.exp(w1 * kinetic))
-        psi = psi * half_kick_1
+        psi = psi * np.exp(potential / 6.0)
+        psi = np.fft.ifft(np.fft.fft(psi) * np.exp(0.5 * kinetic))
+        psi = psi * np.exp((2.0 / 3.0) * gradient * potential)
+        psi = np.fft.ifft(np.fft.fft(psi) * np.exp(0.5 * kinetic))
+        psi = psi * np.exp(potential / 6.0)
         yield np.append(psi, psi[:1]), t0 + (step + 1) * dt
 
 

@@ -25,12 +25,14 @@ The list holds
   seeded draws in the benchmark's ranges (m0, omega0 and hbar
   log-uniform in [0.5, 2], gamma/(2 omega0) uniform in [0, 0.975]) and at
   ``--m0 1e200``, ``--hbar 1e50``, ``--hbar 1e-50`` and ``--hbar 1e308``,
-  each plain and under ``--flip-b-sign``.
+  each plain and under ``--flip-b-sign``;
+* the number and coherent ``wavefunction`` at ``--hbar 1e308``, where
+  2 hbar overflows.
 
 The input files go to ``OUT/inputs`` and the commands run with ``OUT`` as
 the working directory, so error messages that quote a path read the same
 for every ``OUT``.  Outputs are not checked in: ``np.cos`` and ``np.sin``
-may round differently on another machine.  The 190 commands take about
+may round differently on another machine.  The 192 commands take about
 4 s and write about 24 MB on a 2-vCPU x86-64 VM.
 """
 
@@ -143,6 +145,8 @@ def commands() -> list:
     for flags in _validate_points():
         argvs.append(["validate", *flags, "--format", "json"])
         argvs.append(["validate", *flags, "--format", "json", "--flip-b-sign"])
+    argvs.append(["wavefunction", "--hbar", "1e308"])
+    argvs.append(["wavefunction", "--hbar", "1e308", "--qc", "0.7", "--pc", "-1.3"])
     return argvs
 
 
