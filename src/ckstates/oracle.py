@@ -152,7 +152,19 @@ class GridSpec:
         return (self.q_max - self.q_min) / (self.n_points - 1)
 
     def points(self) -> np.ndarray:
-        return np.linspace(self.q_min, self.q_max, self.n_points)
+        """The grid's points, ``np.linspace(q_min, q_max, n_points)``.
+
+        Built on the first call and returned by every later one as the
+        same read-only array, so the checks that read one grid several
+        times build it once.
+        """
+        return self._points
+
+    @functools.cached_property
+    def _points(self) -> np.ndarray:
+        q = np.linspace(self.q_min, self.q_max, self.n_points)
+        q.flags.writeable = False
+        return q
 
 
 @dataclass(frozen=True)
@@ -241,16 +253,31 @@ def simpson(y: np.ndarray, dx: float):
 
 
 def _derivative(f: np.ndarray, dq: float, order: int) -> np.ndarray:
-    """``order``-th derivative of grid samples by ``numpy.fft`` (Trefethen,
-    *Spectral Methods in MATLAB*, ch. 3): the n odd samples are one period
-    of n - 1 points, the last the image of the first.  Odd orders drop the
-    Nyquist mode, whose derivative vanishes on the grid."""
+    """First (``order`` 1) or second (``order`` 2) derivative of grid samples
+    by ``numpy.fft`` (Trefethen, *Spectral Methods in MATLAB*, ch. 3): the
+    n odd samples are one period of n - 1 points, the last the image of the
+    first.  The first derivative drops the Nyquist mode, whose derivative
+    vanishes on the grid.
+
+    The wavenumbers are ``np.fft.fftfreq``'s: its integer table, cached per
+    size, times its scalar 1/(m d).  (ik)^2 is the product ik ik, as
+    numpy's complex power forms it, so both orders keep that power's bits.
+    """
     m = f.shape[-1] - 1
-    k = np.fft.fftfreq(m, d=dq / (2.0 * math.pi))
-    if order % 2:
-        k[m // 2] = 0.0
-    d = np.fft.ifft(np.fft.fft(f[:-1]) * (1j * k) ** order)
+    ik = 1j * (_frequencies(m, order == 1) * (1.0 / (m * (dq / (2.0 * math.pi)))))
+    d = np.fft.ifft(np.fft.fft(f[:-1]) * (ik if order == 1 else ik * ik))
     return np.append(d, d[:1])
+
+
+@functools.lru_cache(maxsize=32)
+def _frequencies(m: int, first: bool) -> np.ndarray:
+    """``np.fft.fftfreq(m)`` times m, as floats: 0, 1, ..., -1; read-only.
+    For the ``first`` derivative the Nyquist entry -m/2 is 0."""
+    table = np.r_[0 : (m - 1) // 2 + 1, -(m // 2) : 0].astype(float)
+    if first:
+        table[m // 2] = 0.0
+    table.flags.writeable = False
+    return table
 
 
 def _l2(f: np.ndarray, dq: float) -> float:
@@ -274,10 +301,14 @@ def moments(
     q = grid.points()
     if psi.shape != q.shape:
         raise ValueError(f"samples shape {psi.shape} does not match grid {q.shape}")
-    dens = np.abs(psi) ** 2
     dpsi = _derivative(psi, grid.dq, 1)
-    p_density = (psi.conjugate() * (-1j * params.hbar) * dpsi).real
-    integrands = np.stack((dens, dens * q, dens * q * q, p_density, np.abs(dpsi) ** 2))
+    integrands = np.empty((5, q.size))
+    dens, dens_q, dens_q2, p_density, dpsi2 = integrands
+    np.square(np.abs(psi), out=dens)
+    np.multiply(dens, q, out=dens_q)
+    np.multiply(dens_q, q, out=dens_q2)
+    p_density[:] = (psi.conjugate() * (-1j * params.hbar) * dpsi).real
+    np.square(np.abs(dpsi), out=dpsi2)
     norm, q_mean, q2, p_mean, p2 = map(float, simpson(integrands, dx=grid.dq))
     p2 = params.hbar**2 * p2
     energy = math.exp(-params.gamma * t) * p2 / (2.0 * params.m0) + (
@@ -584,9 +615,10 @@ def _in_frame(
     flip_b_sign: bool = False,
 ) -> np.ndarray:
     """Closed-form samples of phi(Q, t) = e^{-gamma t/4} e^{i beta Q^2}
-    psi(e^{-gamma t/2} Q, t), beta = m0 gamma/(4 hbar)."""
+    psi(e^{-gamma t/2} Q, t), beta = m0 gamma/(4 hbar), formed without the
+    product 4 hbar, which overflows above 4.49e307."""
     scale = math.exp(-0.5 * params.gamma * t)
-    beta = params.m0 * params.gamma / (4.0 * params.hbar)
+    beta = 0.25 * params.m0 * params.gamma / params.hbar
     psi = _sample(params, spec, t, scale * Q, flip_b_sign)
     return math.sqrt(scale) * np.exp(1j * beta * Q * Q) * psi
 
@@ -906,11 +938,13 @@ def _sim_wave(params, flip, n):
     spec = StateSpec.number(int(n), special_squeeze(params))
     _, q, psi = _check_samples(params, flip, spec, 0.0)
     a0 = math.sqrt(params.m0 * params.omega / params.hbar)
+    # a0 q, not q^2 scaled by a0^2: q^2 overflows at hbar = 1e308.
+    x = a0 * q
     sho = (
         (2.0 ** int(n) * math.factorial(int(n))) ** -0.5
         * (a0 / math.sqrt(math.pi)) ** 0.5
-        * hermite(int(n), a0 * q)
-        * np.exp(-0.5 * a0**2 * q**2)
+        * hermite(int(n), x)
+        * np.exp(-0.5 * x**2)
     )
     phase = np.exp(
         -1j * math.atan(params.gamma / (4.0 * params.omega)) * (int(n) + 0.5)

@@ -126,9 +126,11 @@ def hermite(n: int, x):
     if not (0 <= n <= MAX_N):
         raise ValueError(f"hermite order must be in [0, {MAX_N}], got {n}")
     arr = np.asarray(x, dtype=float)
-    h_prev = np.zeros_like(arr)
-    h = np.ones_like(arr)
-    for k in range(n):
+    if n == 0:
+        return 1.0 if arr.ndim == 0 else np.ones_like(arr)
+    # From H_1 = 2x, with the scalar H_0 = 1, the bits of H_0 = 1, H_{-1} = 0.
+    h_prev, h = 1.0, 2.0 * arr
+    for k in range(1, n):
         h_prev, h = h, 2.0 * arr * h - 2.0 * k * h_prev
     return float(h) if arr.ndim == 0 else h
 

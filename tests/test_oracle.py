@@ -74,6 +74,19 @@ def test_grid_spec_dq_and_points():
         assert q[0] == -8.0 and q[-1] == 8.0
 
 
+@pytest.mark.parametrize("n_points", [513, 2049, 16385])
+def test_grid_points_are_built_once_read_only_with_linspace_bits(n_points):
+    grid = GridSpec(-3.7, 5.1, n_points)
+    q = grid.points()
+    assert grid.points() is q
+    assert not q.flags.writeable
+    assert q.tobytes() == np.linspace(-3.7, 5.1, n_points).tobytes()
+    with pytest.raises(ValueError):
+        q[0] = 0.0
+    # An equal grid is its own object, with its own points.
+    assert GridSpec(-3.7, 5.1, n_points).points() is not q
+
+
 def test_grid_spec_rejects_bad_bounds():
     with pytest.raises(ValueError):
         GridSpec(2.0, 2.0, 1025)
@@ -283,6 +296,32 @@ P_DAMPED = make_params(
     m0=0.6945205150677389, gamma=2.7799318047529864,
     omega0=1.4773283036070404, hbar=1.7976068005949424,
 )
+
+
+def _fftfreq_derivative(f, dq, order):
+    """The spectral derivative as first written: fftfreq's wavenumbers per
+    call, Nyquist zeroed for odd orders, and (ik)^order as a complex power."""
+    m = f.shape[-1] - 1
+    k = np.fft.fftfreq(m, d=dq / (2.0 * math.pi))
+    if order % 2:
+        k[m // 2] = 0.0
+    d = np.fft.ifft(np.fft.fft(f[:-1]) * (1j * k) ** order)
+    return np.append(d, d[:1])
+
+
+@pytest.mark.parametrize("n_points", [513, 1025, 2049, 4097, 8193, 16385])
+def test_derivative_equals_the_fftfreq_power_form_bit_for_bit(n_points):
+    rng = np.random.default_rng(n_points)
+    noise = rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
+    spec = StateSpec.coherent(1.2, -0.7, SqueezeParams(0.9, 2.0))
+    grid = replace(make_grid(P_STAR, spec, 0.3), n_points=n_points)
+    state = eval_coherent_state(P_STAR, spec, 0.3, grid.points())
+    for f, dq in ((noise, 0.0123), (noise, 7.3e-150), (state, grid.dq)):
+        for order in (1, 2):
+            # Twice, so the second call reads the cached frequency table.
+            for _ in range(2):
+                got = _derivative(f, dq, order)
+                assert got.tobytes() == _fftfreq_derivative(f, dq, order).tobytes()
 
 
 def test_spectral_derivative_of_chirped_displaced_gaussian():
@@ -1130,18 +1169,50 @@ def test_sim_wave_and_time_average_measures_are_unit_free(units):
 
 @pytest.mark.parametrize(
     "check",
-    [Check("time_average_lower_bound", (0, r, 1.0)) for r in (0.25, 0.5, 1.0)]
-    + [Check("time_average_closed_form_gap", (r, 1.0)) for r in (0.25, 0.5, 1.0)],
+    [
+        Check("time_average_lower_bound", (0, 1.0, 1.0)),
+        Check("time_average_closed_form_gap", (1.0, 1.0)),
+    ],
     ids=lambda check: f"{check.name}-{check.args[-2]}",
 )
 def test_time_average_that_overflowed_fails(check):
-    # At hbar = 1e308 the trapezoid's pairwise sums overflow at r = 0.25 and
-    # 0.5, although every sample is finite, and the samples themselves
-    # overflow at r = 1: a measured inf or nan judges nothing.
+    # At hbar = 1e308 and r = 1 the product's samples themselves overflow:
+    # a measured inf or nan judges nothing.
     report = validate(make_params(1.0, 1.2, 1.0, 1e308), schedule=(check,))
     (entry,) = report.entries
     assert not math.isfinite(entry.measured)
     assert not entry.passed and not entry.skipped
+
+
+@pytest.mark.parametrize(
+    "check",
+    [Check("time_average_lower_bound", (0, r, 1.0)) for r in (0.25, 0.5)]
+    + [Check("time_average_closed_form_gap", (r, 1.0)) for r in (0.25, 0.5)],
+    ids=lambda check: f"{check.name}-{check.args[-2]}",
+)
+def test_time_average_at_the_top_of_the_double_range_passes(check):
+    # At hbar = 1e308 and r = 0.25 and 0.5 every sample of the product is
+    # finite (the largest 9.0e307 and 1.41e308), though their sum is not.
+    # The average is taken over the samples scaled by the largest, so the
+    # entry reads what it reads at hbar = 1: the same relative lower-bound
+    # gap, and the closed-form gap scaled by hbar.
+    (top,) = validate(make_params(1.0, 1.2, 1.0, 1e308), schedule=(check,)).entries
+    (unit,) = validate(P_STAR, schedule=(check,)).entries
+    assert math.isfinite(top.measured)
+    assert top.passed and not top.skipped
+    scale = 1e308 if check.name == "time_average_closed_form_gap" else 1.0
+    assert top.measured == pytest.approx(scale * unit.measured, rel=1e-13)
+
+
+def test_frame_chirp_and_static_oscillator_hold_at_the_top_of_the_double_range():
+    # beta = m0 gamma/(4 hbar) without the product 4 hbar, and the static
+    # oscillator's Gaussian e^{-(a0 q)^2/2} without q^2 (|q| ~ 1e155 here).
+    params = make_params(1.0, 1.2, 1.0, 1e308)
+    deficit, drift = cn_cross_check(params, SqueezeParams(0.5, 1.0))
+    assert deficit < 1e-12 and drift < 1e-12
+    schedule = tuple(Check("sim_wave", (n,)) for n in (0, 1, 2))
+    for entry in validate(params, schedule=schedule).entries:
+        assert entry.passed and entry.measured < 1e-14
 
 
 def test_validate_raising_check_fails_every_entry_of_its_kind():

@@ -36,6 +36,25 @@ def test_hermite_matches_reference(n):
     assert np.max(np.abs(ours - ref)) < 1e-9 * scale
 
 
+def _hermite_from_zero_and_one(n, x):
+    """H_n by the recurrence started at H_{-1} = 0, H_0 = 1, as first written."""
+    arr = np.asarray(x, dtype=float)
+    h_prev, h = np.zeros_like(arr), np.ones_like(arr)
+    for k in range(n):
+        h_prev, h = h, 2.0 * arr * h - 2.0 * k * h_prev
+    return float(h) if arr.ndim == 0 else h
+
+
+@pytest.mark.parametrize("n", range(MAX_N + 1))
+def test_hermite_equals_the_recurrence_from_zero_bit_for_bit(n):
+    x = np.concatenate((np.linspace(-8.0, 8.0, 1001), [-0.0, 0.0, 1e-300, -5e-324]))
+    ours, ref = hermite(n, x), _hermite_from_zero_and_one(n, x)
+    assert ours.shape == ref.shape and ours.tobytes() == ref.tobytes()
+    for xs in (0.3, -0.0, 7.9):
+        got, want = hermite(n, xs), _hermite_from_zero_and_one(n, xs)
+        assert type(got) is float and got.hex() == want.hex()
+
+
 def test_hermite_scalar_and_bounds():
     assert hermite(3, 0.5) == pytest.approx(8 * 0.5**3 - 12 * 0.5)
     with pytest.raises(ValueError):

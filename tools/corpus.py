@@ -8,7 +8,12 @@ with
 
     PYTHONPATH=TREE_A/src python tools/corpus.py A
     PYTHONPATH=TREE_B/src python tools/corpus.py B
-    diff -r A B
+    python tools/corpus.py compare A B
+
+``compare`` prints one line per differing file and exits 1 if any differs.
+For a ``validate --format json`` output the line names the entry kinds
+whose bytes changed, followed by a line for each entry whose pass flag
+flipped; any other differing file is printed by name alone.
 
 The list holds
 
@@ -172,7 +177,52 @@ def main(out: str) -> None:
     (root / "manifest.json").write_text(manifest, encoding="utf-8")
 
 
+def _entries(path: Path):
+    """The entries of the validate JSON report in ``path``, or None if it
+    holds no report (a run that failed before printing one)."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))["entries"]
+    except ValueError:
+        return None
+
+
+def compare(a: str, b: str) -> int:
+    """Print how the corpus outputs in directories ``a`` and ``b`` differ;
+    return 1 if any file differs, else 0."""
+    root_a, root_b = Path(a), Path(b)
+    argvs = json.loads((root_a / "manifest.json").read_text(encoding="utf-8"))
+    names = sorted({p.name for root in (root_a, root_b) for p in root.iterdir() if p.is_file()})
+    differ = 0
+    for name in names:
+        path_a, path_b = root_a / name, root_b / name
+        both = path_a.is_file() and path_b.is_file()
+        if both and path_a.read_bytes() == path_b.read_bytes():
+            continue
+        differ = 1
+        k, _, suffix = name.partition(".")
+        argv = argvs[int(k)] if k.isdigit() and int(k) < len(argvs) else []
+        is_report = both and suffix == "out" and argv[:1] == ["validate"] and "json" in argv
+        entries_a, entries_b = (_entries(p) if is_report else None for p in (path_a, path_b))
+        if entries_a is None or entries_b is None:
+            print(name)
+            continue
+        kinds = sorted({x["check_name"] for x, y in zip(entries_a, entries_b) if x != y})
+        if len(entries_a) != len(entries_b):
+            kinds.append(f"entry count {len(entries_a)} -> {len(entries_b)}")
+        print(f"{name} {' '.join(argv)}: {', '.join(kinds)}")
+        for x, y in zip(entries_a, entries_b):
+            if x["pass"] != y["pass"]:
+                flip = f"{x['pass']} -> {y['pass']}"
+                print(f"  pass {flip}: {x['check_name']} {x['parameter_tuple']}")
+    return differ
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "compare":
+        raise SystemExit(compare(sys.argv[2], sys.argv[3]))
     if len(sys.argv) != 2:
-        raise SystemExit("usage: PYTHONPATH=TREE/src python tools/corpus.py OUT")
+        raise SystemExit(
+            "usage: PYTHONPATH=TREE/src python tools/corpus.py OUT\n"
+            "       python tools/corpus.py compare OUT_A OUT_B"
+        )
     main(sys.argv[1])
