@@ -1169,16 +1169,15 @@ def test_sim_wave_and_time_average_measures_are_unit_free(units):
 
 @pytest.mark.parametrize(
     "check",
-    [
-        Check("time_average_lower_bound", (0, 1.0, 1.0)),
-        Check("time_average_closed_form_gap", (1.0, 1.0)),
-    ],
+    [Check("time_average_lower_bound", (0, r, 1.0)) for r in (0.25, 0.5, 1.0)]
+    + [Check("time_average_closed_form_gap", (r, 1.0)) for r in (0.25, 0.5, 1.0)],
     ids=lambda check: f"{check.name}-{check.args[-2]}",
 )
 def test_time_average_that_overflowed_fails(check):
-    # At hbar = 1e308 and r = 1 the product's samples themselves overflow:
-    # a measured inf or nan judges nothing.
-    report = validate(make_params(1.0, 1.2, 1.0, 1e308), schedule=(check,))
+    # At gamma = 1.8 the product peaks at 1.83, 2.98 and 8.06 hbar over a
+    # period for r = 0.25, 0.5 and 1, so at hbar = 1e308 the samples
+    # themselves overflow: a measured inf or nan judges nothing.
+    report = validate(make_params(1.0, 1.8, 1.0, 1e308), schedule=(check,))
     (entry,) = report.entries
     assert not math.isfinite(entry.measured)
     assert not entry.passed and not entry.skipped
