@@ -168,8 +168,17 @@ def _write_table(columns: tuple, units: tuple, data: tuple, cfg: RunConfig) -> N
     Values are printed as ``'%.17g' %`` prints them, by the vectorized
     renderer in ``_g17``, ``TABLE_CHUNK_ROWS`` rows at a time, so the text
     of the whole table is never held at once.  Every column is computed
-    before the call, so an error leaves no partial output.
+    before the call, so an error leaves no partial output.  A value that
+    is not a finite double (a true value outside the double range) raises
+    ``FloatingPointError`` before ``cfg.out`` is opened.
     """
+    for name, col in zip(columns, data):
+        finite = np.isfinite(col)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise FloatingPointError(
+                f"{name} in row {row} is {float(col[row])!r}, not a finite double"
+            )
     if cfg.format == "csv":
         header = ",".join(f"{c} [{u}]" for c, u in zip(columns, units))
         literals = ["", *[","] * (len(columns) - 1), "\n"]

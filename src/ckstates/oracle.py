@@ -4,13 +4,13 @@ Nothing in this module trusts the closed-form moments: position moments
 come from composite Simpson quadrature of sampled wave functions,
 momentum moments from spectral (FFT) derivatives, coherent means from the
 invariant eigenvalue alpha, time derivatives from a Richardson-extrapolated
-stencil, and time evolution from a fourth-order split-step Fourier
-propagator (S. A. Chin's gradient-corrected split 4A), run in the
-coordinate Q = e^{gamma t/2} q that maps the Caldirola-Kanai equation
-exactly onto an undamped oscillator, on a grid sized from the packet's
-narrowest spread in that frame.  That oscillator's Hamiltonian is
-constant, and each of its two parts is an exact phase, the potential on
-the grid and the kinetic energy on the FFT wavenumbers.
+stencil, and time evolution from the undamped oscillator's exact
+chirp-Fourier-chirp split of its propagator, run in the coordinate
+Q = e^{gamma t/2} q that maps the Caldirola-Kanai equation exactly onto
+that oscillator, on a grid sized from the packet's narrowest spread in
+that frame.  Each factor of the split is an exact phase, two chirps on
+the grid and one on the FFT wavenumbers, so the propagation has no time
+error.
 Agreement between these routes and the closed-form layer is what
 :func:`validate` certifies.
 
@@ -22,8 +22,7 @@ of one state at one instant samples it once, on one grid rule
 (:func:`_check_grid`) sized from the wavenumbers the state carries, its
 chirp e^{-i Im B q^2} included.  Boxes leave a negligible boundary
 amplitude, so the samples are periodic to that accuracy; evolution
-monitors the mass near the boundary, which a packet wrapping round the
-periodic box must cross.
+monitors the mass near the boundary after every step.
 """
 
 import functools
@@ -96,22 +95,14 @@ BOUNDARY_LEAK_TOL = 1e-8
 # period, with this many points per narrowest spread, rounded up to
 # 2^k + 1 for the FFT and capped at CN_MAX_POINTS.  The frame spreads range
 # over at most a factor e^{2r}, whatever the damping, so r = 0.5 gets 513
-# points at every gamma.  The kinetic phases are exact on the grid's
-# wavenumbers, so four points per spread leave a spectral error far below
-# the split scheme's time error.
+# points at every gamma.  The propagator has no time error, and four
+# points per spread leave a spectral error at rounding level.
 CN_POINTS_PER_SPREAD = 4
 CN_MAX_POINTS = 32769
 
 # Length of the cross-check propagation, in periods pi/omega; not a whole
 # number, see cn_cross_check.
 CN_PERIODS = 1.37
-
-# Least steps per period pi/omega that crank_nicolson_evolve accepts.
-_MIN_STEPS_PER_PERIOD = 100
-
-# Steps per edge-mass check of crank_nicolson_evolve: each step keeps its
-# 5 + 5 edge samples, and a block's masses are reduced in one pass.
-_EDGE_BLOCK = 256
 
 
 class BoundaryLeakError(RuntimeError):
@@ -468,49 +459,51 @@ def crank_nicolson_evolve(
     t1: float,
     n_steps: int,
 ) -> np.ndarray:
-    """Propagate samples from t0 to t1 with fourth-order split-step
-    Fourier steps under the time-independent Hamiltonian of undamped
-    ``params``.
+    """Propagate samples from t0 to t1 under the time-independent
+    Hamiltonian of undamped ``params`` by the oscillator's exact
+    three-factor split.
 
-    The name is kept from the Crank-Nicolson scheme this replaced; the
-    scheme is now the split-operator method of M. D. Feit, J. A. Fleck Jr.
-    and A. Steiger, J. Comput. Phys. 47 (1982) 412.  H = T + V splits into
-    two parts that are each exact phases: V = m0 omega0^2 q^2/2 on the
-    grid points, and T = hbar^2 k^2/(2 m0) on the ``numpy.fft``
-    wavenumbers k of the n - 1 periodic samples, in :func:`_derivative`'s
+    The name is kept from the Crank-Nicolson scheme this replaced.  For
+    H = p^2/(2 m0) + m0 omega0^2 q^2/2 the propagator over a step of angle
+    theta = omega0 dt, |theta| < pi, factors exactly as
+    e^{-i H dt/hbar} = e^{-i a q^2} e^{-i b p^2} e^{-i a q^2}, with
+    a = (m0 omega0/2 hbar) tan(theta/2) and b = sin(theta)/(2 m0 omega0 hbar):
+    kick, drift and kick give the classical map
+    [[cos theta, sin theta/(m0 omega0)], [-m0 omega0 sin theta, cos theta]],
+    and the sign of the metaplectic factor is + by continuity from
+    theta = 0, so the product is exact in phase too.  This is the
+    chirp-Fourier-chirp form of a linear canonical transform (M. Moshinsky
+    and C. Quesne, J. Math. Phys. 12 (1971) 1772).  The kicks are phases on
+    the grid points and the drift a phase on the ``numpy.fft`` wavenumbers
+    k of the n - 1 periodic samples, p = hbar k, in :func:`_derivative`'s
     convention (the last grid point is the image of the first, and is
-    rewritten as such).  A step is S. A. Chin's gradient-corrected split
-    4A, Phys. Lett. A 226 (1997) 344, which S. A. Chin and C. R. Chen,
-    J. Chem. Phys. 114 (2001) 7338, apply to the time-dependent
-    Schroedinger equation:
-    e^{-i V dt/6 hbar} e^{-i T dt/2 hbar} e^{-i (2 dt/3 hbar) W}
-    e^{-i T dt/2 hbar} e^{-i V dt/6 hbar}, with
-    W = V - (dt^2/48 m0) V'^2 = V (1 - (omega0 dt)^2/24).  The correction
-    carries the double commutator [V, [T, V]] = (hbar^2/m0) V'^2, so the
-    step's error is O(dt^5) and the propagation fourth order, with two
-    FFT pairs a step.  On the oscillator, at omega dt = pi/100, its
-    frequency is low by 2.3e-10 of omega, against 6.4e-8 for H. Yoshida's
-    triple jump of Strang steps, which took three FFT pairs.  Every factor has modulus 1 and the FFT pair is unitary, so
-    the norm holds to rounding.  Requires at least 100 steps per period
-    pi/omega, a bound on omega dt only.
+    rewritten as such).  So the step count adds no time error: only the
+    grid's spatial error remains.  Every factor has modulus 1 and the FFT
+    pair is unitary, so the norm holds to rounding.  Each step must turn
+    theta <= pi/2.  Then tan(theta/2) <= 1, so a kick adds at most
+    m0 omega0 |q| to the momentum at q, no more than the classical orbits
+    through the box carry, and the kicked samples stay in the Nyquist band
+    of a grid that resolves the packet along its orbit.
     Damped parameters are refused: :func:`cn_cross_check` propagates in
     the undamped frame.
 
-    The boundary-leak guard covers the initial samples and every step.  In
-    the periodic box a packet that wraps round crosses the boundary, so
-    the guard catches it too.  Each step keeps its 5 + 5 edge samples, and
-    their masses are evaluated together once per block of 256 steps and
-    after the last step, so a leak raises at the end of its block, with
-    the mass and time of the first step that leaked.
+    The boundary-leak guard checks the mass on the 5 + 5 edge samples of
+    the initial samples and after every step.  In the periodic box a
+    packet that wraps round crosses the boundary, so the guard catches it
+    if the packet's mass is on the edge samples at the end of a step.  One
+    step of up to a quarter turn can carry a packet across the seam
+    whole, past the edge samples, and the guard does not see that;
+    :func:`cn_cross_check` does, in its comparison with the closed form.
 
     Raises
     ------
     ValueError
         If ``params.gamma`` is not 0, t0 or t1 is not finite, t1 <= t0,
-        the steps are too few, or ``psi0`` does not match the grid.
+        omega0 (t1 - t0)/n_steps is not <= pi/2, or ``psi0`` does not
+        match the grid.
     BoundaryLeakError
         If probability mass within 5 points of either boundary exceeds
-        1e-8 (or is nan) initially or at any step.
+        1e-8 (or is nan) initially or after any step.
     """
     if params.gamma != 0.0:
         raise ValueError(
@@ -521,12 +514,13 @@ def crank_nicolson_evolve(
         raise ValueError(f"t0 and t1 must be finite, got t0={t0}, t1={t1}")
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got t0={t0}, t1={t1}")
-    # An integer is below this floor iff below its ceiling; the floor may be inf.
-    min_steps = _step_floor(params, t0, t1)
-    if n_steps < min_steps:
+    # n_steps = 0, nan or a negative count makes no step at all.
+    dt = (t1 - t0) / n_steps if n_steps > 0 else math.inf
+    theta = params.omega0 * dt
+    if not theta <= 0.5 * math.pi:
         raise ValueError(
-            f"n_steps={n_steps} is below {_MIN_STEPS_PER_PERIOD} per period pi/omega "
-            f"(need >= {min_steps!r})"
+            f"n_steps={n_steps!r} makes the step angle omega0 dt = {theta!r}, "
+            f"not <= pi/2"
         )
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (grid.n_points,):
@@ -534,55 +528,37 @@ def crank_nicolson_evolve(
     # Grid indices of the 5 + 5 edge samples; "wrap" maps the last point
     # onto its image, the first periodic sample.
     edge_index = np.r_[0:5, grid.n_points - 5 : grid.n_points]
-    # The initial samples as the row before the first step (start = -1).
-    _check_edge_mass(psi0[edge_index][None], grid.dq, t0, -1, 0.0)
-    dt = (t1 - t0) / n_steps
+    _check_edge_mass(psi0[edge_index], grid.dq, t0)
     q = grid.points()[:-1]
     k = np.fft.fftfreq(q.size, d=grid.dq / (2.0 * math.pi))
-    # -i dt V/hbar on the grid and -i dt T/hbar on the wavenumbers.
-    potential = (-0.5j * dt * params.m0 * params.omega0**2 / params.hbar) * q * q
-    kinetic = (-0.5j * dt * params.hbar / params.m0) * k * k
-    # The V/6 kicks that meet between steps stay two factors, so every
-    # step ends on its own samples for the edge-mass guard.
-    outer_kick = np.exp(potential / 6.0)
-    inner_kick = np.exp((2.0 / 3.0) * (1.0 - (params.omega0 * dt) ** 2 / 24.0) * potential)
-    drift = np.exp(0.5 * kinetic)
+    # -i a q^2 on the grid and -i b (hbar k)^2 on the wavenumbers.
+    kick = np.exp(
+        (-0.5j * math.tan(0.5 * theta) * params.omega0 * params.m0 / params.hbar) * q * q
+    )
+    drift = np.exp(
+        (-0.5j * math.sin(theta) / params.omega0 * params.hbar / params.m0) * k * k
+    )
     psi = psi0[:-1].copy()
-    edges = np.empty((_EDGE_BLOCK, edge_index.size), dtype=complex)
-    for start in range(0, n_steps, _EDGE_BLOCK):
-        block = edges[: min(_EDGE_BLOCK, n_steps - start)]
-        for row in block:
-            for kick in (outer_kick, inner_kick):
-                psi *= kick
-                np.fft.fft(psi, out=psi)
-                psi *= drift
-                np.fft.ifft(psi, out=psi)
-            psi *= outer_kick
-            psi.take(edge_index, out=row, mode="wrap")
-        _check_edge_mass(block, grid.dq, t0, start, dt)
+    for step in range(1, n_steps + 1):
+        psi *= kick
+        np.fft.fft(psi, out=psi)
+        psi *= drift
+        np.fft.ifft(psi, out=psi)
+        psi *= kick
+        _check_edge_mass(psi.take(edge_index, mode="wrap"), grid.dq, t0 + step * dt)
     return np.append(psi, psi[:1])
 
 
-def _step_floor(params: PhysicalParams, t0: float, t1: float) -> float:
-    """Least step count :func:`crank_nicolson_evolve` takes from t0 to t1."""
-    return _MIN_STEPS_PER_PERIOD * (t1 - t0) / (math.pi / params.omega)
-
-
-def _check_edge_mass(
-    edges: np.ndarray, dq: float, t0: float, start: int, dt: float
-) -> None:
-    """Raise :class:`BoundaryLeakError` for the first row of ``edges`` (the
-    5 + 5 edge samples after steps start + 1, start + 2, ... from t0) whose
-    mass is not within ``BOUNDARY_LEAK_TOL``.  Row sums add the samples in
-    order, as ``np.sum`` does for 5, so each mass has the per-step bits."""
+def _check_edge_mass(edges: np.ndarray, dq: float, t: float) -> None:
+    """Raise :class:`BoundaryLeakError` if the mass of ``edges``, the 5 + 5
+    edge samples at time t, is not within ``BOUNDARY_LEAK_TOL``; a nan
+    mass is not within it."""
     sq = np.abs(edges) ** 2
-    mass = (sq[:, :5].sum(axis=1) + sq[:, 5:].sum(axis=1)) * dq
-    leaked = np.flatnonzero(~(mass <= BOUNDARY_LEAK_TOL))
-    if leaked.size:
-        k = int(leaked[0])
+    mass = (sq[:5].sum() + sq[5:].sum()) * dq
+    if not mass <= BOUNDARY_LEAK_TOL:
         raise BoundaryLeakError(
-            f"probability mass {mass[k]:.3e} within 5 points of the "
-            f"boundary at t={t0 + (start + k + 1) * dt:.6f}; enlarge the grid"
+            f"probability mass {mass:.3e} within 5 points of the "
+            f"boundary at t={t:.6f}; enlarge the grid"
         )
 
 
@@ -653,12 +629,13 @@ def cn_cross_check(
     The box spans 24 of the widest frame spreads over the period, with
     ``CN_POINTS_PER_SPREAD`` points per narrowest spread, rounded up to
     2^k + 1 and at most ``CN_MAX_POINTS``, so the grid grows with the
-    squeeze as e^{2r}.  The split scheme's time error stays below
-    rounding at every squeeze, so the step count is the propagator's
-    floor, 137 or 138 steps over the window: the deficit reads 3e-14 to
-    8e-14 from 513 points at r = 0.5 to 32769 points at r = 3, the size of
-    the norm drift's own rounding.  A packet that already
-    reaches the grid's edge at t = 0 is refused by the propagator's guard.
+    squeeze as e^{2r}.  The propagator's split is exact in time, so the
+    window takes the fewest steps it accepts, three of omega dt <= pi/2:
+    the deficit reads 0 to 3e-15 from 513 points at r = 0.5 to 32769
+    points at r = 3.  A packet that already reaches the grid's edge at
+    t = 0 is refused by the propagator's guard.  A packet carried across
+    the periodic seam within one step passes the guard, but not the
+    comparison with the closed form.
 
     Returns
     -------
@@ -678,7 +655,8 @@ def cn_cross_check(
     Q = grid.points()
     phi0 = _in_frame(params, spec, 0.0, Q, flip_b_sign)
     frame = _frame_params(params)
-    n_steps = math.ceil(_step_floor(frame, 0.0, t1))
+    # The least count with omega dt <= pi/2, ceil(2 omega t1/pi): 3 steps.
+    n_steps = math.ceil(2.0 * CN_PERIODS)
     evolved = crank_nicolson_evolve(frame, phi0, grid, 0.0, t1, n_steps)
     ref = _in_frame(params, spec, t1, Q, flip_b_sign)
     overlap = complex(simpson(ref.conjugate() * evolved, dx=grid.dq))

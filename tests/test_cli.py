@@ -437,15 +437,18 @@ def test_table_text_equals_the_printf_template(n, fmt, tmp_path, capsys):
         rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),
         np.round(rng.standard_normal(n), 4),
     )
+    # _write_table refuses inf and nan (tests/test_g17.py renders them), so
+    # the random bit patterns that are no finite double are zeroed.
+    data[2][~np.isfinite(data[2])] = 0.0
     # Zeros and values printed by '%' itself, in the middle of the second
     # chunk where there is one.
-    odd = [0.0, -0.0, 1e15 + 0.25, 1e-300, -1e300, 5e-324, math.inf, -math.inf, math.nan]
+    odd = [0.0, -0.0, 1e15 + 0.25, 1e-300, -1e300, 5e-324]
     k = min(len(odd), n)
     at = min(4096 + 2048, n - k)
     data[3][at : at + k] = odd[:k]
     # Fallback values in different columns of one row: the first and the
     # last row, which at n = 4097 is a chunk of its own.
-    for row, values in ((0, (math.inf, 1e15 + 0.25, -1e-300)), (n - 1, (1e-300, -math.inf, 2.5))):
+    for row, values in ((0, (5e-324, 1e15 + 0.25, -1e-300)), (n - 1, (1e-300, -1e300, 2.5))):
         for column, value in zip(data, values):
             column[row] = value
     _write_table(columns, units, data, RunConfig(format=fmt))
@@ -584,6 +587,23 @@ def test_far_times_keep_the_product(t0, capsys):
         t, dq, dp, product, bound, ratio = map(float, line.split(","))
         assert abs(product - 0.625) <= 4 * math.ulp(0.625)
         assert all(map(math.isfinite, (dq, dp))) and dq > 0.0 and dp > 0.0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_value_outside_the_double_range_exits_2(fmt, tmp_path, capsys):
+    # The ground-state energy at hbar = 1e308, omega0 = 1e10 is about
+    # 6.25e317, beyond the largest double: the table is refused with one
+    # error line before --out is opened, so no file is created or truncated.
+    argv = ["hamiltonian", "--hbar", "1e308", "--omega0", "1e10", "--nt", "2", "--format", fmt]
+    missing, existing = tmp_path / "missing.out", tmp_path / "existing.out"
+    existing.write_text("kept\n")
+    for extra in ([], ["--out", str(missing)], ["--out", str(existing)]):
+        rc, out, err = run_cli(argv + extra, capsys)
+        assert rc == 2
+        assert out == ""
+        assert err == "error: FloatingPointError: energy in row 0 is inf, not a finite double\n"
+    assert not missing.exists()
+    assert existing.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize(

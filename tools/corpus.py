@@ -32,12 +32,14 @@ The list holds
   ``--m0 1e200``, ``--hbar 1e50``, ``--hbar 1e-50`` and ``--hbar 1e308``,
   each plain and under ``--flip-b-sign``;
 * the number and coherent ``wavefunction`` at ``--hbar 1e308``, where
-  2 hbar overflows.
+  2 hbar overflows;
+* ``hamiltonian --hbar 1e308 --omega0 1e10 --nt 2`` in CSV and JSON,
+  whose energies, about 6.25e317, leave the double range.
 
 The input files go to ``OUT/inputs`` and the commands run with ``OUT`` as
 the working directory, so error messages that quote a path read the same
 for every ``OUT``.  Outputs are not checked in: ``np.cos`` and ``np.sin``
-may round differently on another machine.  The 192 commands take about
+may round differently on another machine.  The 194 commands take about
 4 s and write about 24 MB on a 2-vCPU x86-64 VM.
 """
 
@@ -152,6 +154,9 @@ def commands() -> list:
         argvs.append(["validate", *flags, "--format", "json", "--flip-b-sign"])
     argvs.append(["wavefunction", "--hbar", "1e308"])
     argvs.append(["wavefunction", "--hbar", "1e308", "--qc", "0.7", "--pc", "-1.3"])
+    for fmt in ("csv", "json"):
+        argvs.append(["hamiltonian", "--hbar", "1e308", "--omega0", "1e10", "--nt", "2",
+                      "--format", fmt])
     return argvs
 
 
