@@ -882,27 +882,47 @@ def test_cn_catches_a_packet_boosted_across_the_seam():
 
 
 def test_cn_rejects_coarse_stepping():
-    # Each step must turn omega0 dt <= pi/2.  The frame oscillator of
-    # P_STAR has omega0 = 0.8, so 10 time units need 6 steps (5.09 at
-    # pi/2 each).  No step count spans the windows whose length overflows
-    # to inf or whose steps are 1e300 long, and 0 or nan steps make no
-    # step; no message spans two lines.
+    # Each step must turn omega0 dt <= pi/2; 0 or nan steps make no step,
+    # and a negative count none either.  No message spans two lines.
     params = _frame_params(P_STAR)
     grid = GridSpec(-8.0, 8.0, 513)
     psi0 = eval_number_state(params, GROUND, 0.0, grid.points())
-    crank_nicolson_evolve(params, psi0, grid, 0.0, 10.0, 6)
-    refused = [
-        (0.0, 10.0, 5), (0.0, 10.0, 0), (0.0, 10.0, -6), (0.0, 10.0, math.nan),
-        (-1e308, 1e308, 10**6), (0.0, 1e306, 10**6), (0.0, 1e307, 10**6),
-    ]
-    for t0, t1, n_steps in refused:
+    for n_steps in (0, -6, math.nan):
         with pytest.raises(ValueError, match=r"omega0 dt = .*, not <= pi/2$") as excinfo:
-            crank_nicolson_evolve(params, psi0, grid, t0, t1, n_steps)
+            crank_nicolson_evolve(params, psi0, grid, 0.0, 10.0, n_steps)
         assert "\n" not in str(excinfo.value)
     # One step of exactly pi/2 is accepted.
     crank_nicolson_evolve(make_params(1.0, 0.0, 1.0, 1.0), psi0, grid, 0.0, 0.5 * math.pi, 1)
     with pytest.raises(ValueError, match="t1 > t0"):
         crank_nicolson_evolve(params, psi0, grid, 0.5, 0.5, 100)
+
+
+def test_cn_accepts_the_ceiling_of_its_step_floor():
+    # The step floor is omega0 (t1 - t0)/(pi/2).  The frame oscillator of
+    # P_STAR has omega0 = 0.8, so 10 time units need 6 steps (5.09 at
+    # pi/2 each) and 5 are refused.
+    params = _frame_params(P_STAR)
+    grid = GridSpec(-8.0, 8.0, 513)
+    psi0 = eval_number_state(params, GROUND, 0.0, grid.points())
+    floor = params.omega * 10.0 / (0.5 * math.pi)
+    ceiling = math.ceil(floor)
+    assert ceiling > floor
+    crank_nicolson_evolve(params, psi0, grid, 0.0, 10.0, ceiling)
+    with pytest.raises(ValueError, match=r"omega0 dt = .*, not <= pi/2$") as excinfo:
+        crank_nicolson_evolve(params, psi0, grid, 0.0, 10.0, ceiling - 1)
+    assert "\n" not in str(excinfo.value)
+
+
+@pytest.mark.parametrize("t0, t1", [(-1e308, 1e308), (0.0, 1e306), (0.0, 1e307)])
+def test_cn_rejects_a_finite_window_whose_step_floor_overflows(t0, t1):
+    # t1 - t0 overflows to inf for the first window, and 10**6 steps of the
+    # other two are 1e300 and 1e301 long, far past pi/2 each.
+    params = _frame_params(P_STAR)
+    grid = GridSpec(-8.0, 8.0, 513)
+    psi0 = eval_number_state(params, GROUND, 0.0, grid.points())
+    with pytest.raises(ValueError, match=r"omega0 dt = .*, not <= pi/2$") as excinfo:
+        crank_nicolson_evolve(params, psi0, grid, t0, t1, 10**6)
+    assert "\n" not in str(excinfo.value)
 
 
 @pytest.mark.parametrize("t0, t1", [(0.0, math.inf), (-math.inf, 0.0)])
